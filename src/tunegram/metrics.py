@@ -13,17 +13,13 @@ from typing import Iterable, Sequence
 
 from .model import MutationKind
 
-try:
-    from . import _speed
-except ImportError:  # pragma: no cover - depends on the build environment
-    _speed = None
-
-#: Which levenshtein kernel is active: "c" or "python".
-ACTIVE_BACKEND = "python" if _speed is None else "c"
+#: Which levenshtein kernel is active.  There is one, in pure Python.
+ACTIVE_BACKEND = "python"
 
 
 def _levenshtein_py(a: Sequence[int], b: Sequence[int]) -> int:
-    """Two-row DP, identical to the C kernel."""
+    """Two-row DP: the textbook reference that the bit-parallel kernel
+    in ``levenshtein`` is tested against."""
     n = len(b)
     row = list(range(n + 1))
     for i, x in enumerate(a):
@@ -48,7 +44,7 @@ def levenshtein(a: Sequence[int], b: Sequence[int]) -> int:
     turning ``a`` into ``b``.  Empty sequences are fine."""
     ta = tuple(a)
     tb = tuple(b)
-    # Strip common prefix and suffix; both kernels then see less work.
+    # Strip common prefix and suffix; the kernel then sees less work.
     lo = 0
     hi_a, hi_b = len(ta), len(tb)
     while lo < hi_a and lo < hi_b and ta[lo] == tb[lo]:
@@ -62,12 +58,40 @@ def levenshtein(a: Sequence[int], b: Sequence[int]) -> int:
         return len(tb)
     if not tb:
         return len(ta)
-    if _speed is not None:
-        try:
-            return _speed.levenshtein_ints(ta, tb)
-        except OverflowError:
-            pass  # notes outside int64, fall through to arbitrary precision
-    return _levenshtein_py(ta, tb)
+    if len(ta) < len(tb):
+        ta, tb = tb, ta
+    # Bit-parallel DP (Myers, J. ACM 46(3), 1999, in the global edit
+    # distance form of Hyyro, Nordic J. Computing 10, 2003).  Bit i of
+    # the vectors is row i+1 of one DP column over the longer sequence;
+    # the loop runs over the shorter one, one column per note.  pv/mv
+    # flag +1/-1 vertical deltas, ph/mh horizontal ones.  Python ints
+    # are signed and unbounded, so every complement is masked to m bits.
+    # Notes are only dict keys: any int (negative, past 64 bits) works.
+    m = len(ta)
+    peq: dict[int, int] = {}
+    bit = 1
+    for x in ta:
+        peq[x] = peq.get(x, 0) | bit
+        bit <<= 1
+    full = bit - 1
+    top = bit >> 1
+    pv = full
+    mv = 0
+    dist = m
+    for y in tb:
+        eq = peq.get(y, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | (~(xh | pv) & full)
+        mh = pv & xh
+        if ph & top:
+            dist += 1
+        elif mh & top:
+            dist -= 1
+        ph = (ph << 1) | 1  # row 0 of column j is j: always +1
+        pv = ((mh << 1) | ~(xv | ph)) & full
+        mv = ph & xv
+    return dist
 
 
 @dataclass(frozen=True)

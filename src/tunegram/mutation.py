@@ -185,24 +185,33 @@ def _term_occurrences(rules: _Rules) -> list[tuple[int, int]]:
 def _reach_sets(rules: Mapping[int, Sequence[Symbol]]) -> dict[int, set[int]]:
     """reach[x] = every rule reachable from x through one or more
     references.  Assumes the input is acyclic (callers hold the
-    structural-validity precondition)."""
-    memo: dict[int, set[int]] = {}
+    structural-validity precondition).  Iterative depth-first search, so
+    a rule chain of any depth is fine; a cycle ends the walk instead of
+    looping."""
+    def children(x: int) -> list[int]:
+        return [s.rule_id for s in rules[x]
+                if isinstance(s, RuleRef) and s.rule_id in rules]
 
-    def visit(x: int) -> set[int]:
-        got = memo.get(x)
-        if got is not None:
-            return got
-        out: set[int] = set()
-        memo[x] = out
-        for sym in rules[x]:
-            if isinstance(sym, RuleRef) and sym.rule_id in rules:
-                out.add(sym.rule_id)
-                out |= visit(sym.rule_id)
-        return out
-
-    for x in rules:
-        visit(x)
-    return memo
+    reach: dict[int, set[int]] = {}
+    entered: set[int] = set()
+    for start in rules:
+        stack = [start]
+        while stack:
+            x = stack[-1]
+            if x not in entered:
+                # First visit: descend; x is finished on the second.
+                entered.add(x)
+                stack.extend(c for c in children(x) if c not in entered)
+                continue
+            stack.pop()
+            if x in reach:
+                continue
+            out: set[int] = set()
+            for c in children(x):
+                out.add(c)
+                out.update(reach.get(c, ()))
+            reach[x] = out
+    return reach
 
 
 def _swap_is_structural(g_rules: _Rules, edit) -> bool:

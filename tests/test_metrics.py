@@ -71,7 +71,7 @@ def test_accepts_any_int_sequence():
 
 
 def test_huge_values_fall_back_cleanly():
-    # values past int64 force the arbitrary-precision path
+    # values past int64 need no fallback: notes are only dict keys
     big = 2 ** 70
     assert levenshtein([big, 5], [big, 6]) == 1
     assert levenshtein([big], [big]) == 0
@@ -120,6 +120,57 @@ def test_python_kernel_agrees(a, b):
     # the pure-Python row DP must match whatever kernel is active,
     # including after the common prefix/suffix strip
     assert levenshtein(a, b) == _levenshtein_py(a, b)
+
+
+# Trajectory lengths (92 to 675 notes) are far past ``metric_tunes``'
+# 64; these compare kernel and oracle there, and across the 30-bit
+# digits of CPython ints that hold the kernel's bit vectors.
+
+
+def _random_tune(rnd, n, alphabet=range(24)):
+    return [rnd.choice(alphabet) for _ in range(n)]
+
+
+@pytest.mark.parametrize("n", [29, 30, 31, 59, 60, 61, 63, 64, 65])
+def test_kernel_at_digit_boundaries(n):
+    rnd = random.Random(n)
+    for m in (n - 1, n, n + 1):
+        a = _random_tune(rnd, n)
+        b = _random_tune(rnd, m)
+        assert levenshtein(a, b) == _levenshtein_py(a, b)
+        # one change at each end defeats the affix strip
+        c = [99] + a[1:-1] + [98]
+        assert levenshtein(a, c) == _levenshtein_py(a, c) == 2
+
+
+def test_kernel_uneven_trajectory_lengths():
+    rnd = random.Random(92)
+    short = _random_tune(rnd, 92)
+    long = _random_tune(rnd, 675)
+    d = _levenshtein_py(short, long)
+    assert levenshtein(short, long) == d
+    assert levenshtein(long, short) == d
+
+
+def test_kernel_one_pitch_and_disjoint_alphabets():
+    rnd = random.Random(7)
+    assert levenshtein([5] * 92, [6] + [5] * 673 + [6]) == 583
+    assert levenshtein([5] * 70, [6] * 130) == 130
+    a = _random_tune(rnd, 150, range(0, 12))
+    b = _random_tune(rnd, 97, range(12, 24))
+    assert levenshtein(a, b) == _levenshtein_py(a, b) == 150
+    one = [3] * 64
+    mixed = _random_tune(rnd, 64, range(3, 5))
+    assert levenshtein(one, mixed) == _levenshtein_py(one, mixed)
+
+
+def test_kernel_negative_and_huge_pitches():
+    rnd = random.Random(11)
+    for alphabet in (range(-12, 0), [2 ** 64, 2 ** 64 + 1, -2 ** 70, 0, 7]):
+        alphabet = list(alphabet)
+        a = _random_tune(rnd, 120, alphabet)
+        b = _random_tune(rnd, 95, alphabet)
+        assert levenshtein(a, b) == _levenshtein_py(a, b)
 
 
 def test_affix_stripping_edges():

@@ -298,6 +298,20 @@ def test_applicable_crafted(crafted):
     assert yes == set(range(1, 20)) - {6}
 
 
+def test_applicable_on_deep_rule_chain():
+    # p0 -> p1 0 p1 0; p_i -> p_{i+1} i; p1500 -> 1500 1501.  The
+    # reachability walk used to recurse once per level and raise
+    # RecursionError here for kinds 1, 4 and 14.
+    depth = 1500
+    mapping = {0: ["p1", 0, "p1", 0]}
+    for i in range(1, depth):
+        mapping[i] = [f"p{i + 1}", i]
+    mapping[depth] = [depth, depth + 1]
+    g = gram(mapping)
+    for kind in (1, 4, 14):
+        assert isinstance(applicable(g, kind), bool)
+
+
 def test_apply_raises_when_inapplicable():
     g = gram({0: [1]})
     with pytest.raises(InapplicableMutationError):
