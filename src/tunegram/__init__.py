@@ -42,7 +42,7 @@ from .mutation import (
     derive_seed,
     random_mutation,
 )
-from .pipeline import RunConfig, RunResult, StepFailedError, run, run_per_kind, step
+from .pipeline import RunConfig, RunResult, StepFailedError, run, run_per_kind
 from .sequitur import expand, expand_rule, grammars_equivalent, induce, pai, to_intervals
 
 __version__ = "0.1.0"
@@ -87,7 +87,6 @@ __all__ = [
     "run",
     "run_per_kind",
     "serialize_tune",
-    "step",
     "summarize_by_kind",
     "to_intervals",
     "trajectory_means",

@@ -310,15 +310,12 @@ def validate_grammar(g: Grammar) -> ValidationReport:
         if len(places) < 2:
             continue
         # Overlapping occurrences of an equal-halves digram (x x inside
-        # x x x) are the one sanctioned repeat; any pair of occurrences
-        # that do not overlap is a violation.
-        distinct = [
-            (p, q)
-            for i, p in enumerate(places)
-            for q in places[i + 1:]
-            if not (a == b and p[0] == q[0] and abs(p[1] - q[1]) == 1)
-        ]
-        if distinct:
+        # x x x) are the one sanctioned repeat.  Three places always hold
+        # a pair that does not overlap (no three indices are pairwise
+        # adjacent), so only a lone pair can be the sanctioned one.
+        if len(places) > 2 or not (
+                a == b and places[0][0] == places[1][0]
+                and abs(places[0][1] - places[1][1]) == 1):
             where = ", ".join(f"p{r}@{i}" for r, i in places)
             canonical.append(
                 f"digram {format_symbol(a)} {format_symbol(b)} repeats at {where}")

@@ -15,12 +15,21 @@ would create a reference cycle or an empty rhs cause the targets (not
 the kind) to be resampled, up to ``MAX_ATTEMPTS`` draws.  If blind
 resampling exhausts (the valid targets can be a sliver of the draw
 space, e.g. cycle-free rule pairs in a densely referencing grammar),
-the whole target space is enumerated and tried in shuffled order, so an
-applicable kind always succeeds.
+the whole target space is enumerated in shuffled order and the first
+target that fits is applied, so an applicable kind always succeeds.
+
+Applicability is derived, not tabulated.  Each kind has one target
+enumerator (``_targets``), and an edit on a structurally valid grammar
+can only fail by closing a reference cycle or by purging the root (an
+empty rhs is ruled out by the enumerator).  ``_new_edges`` lists the
+references a target adds, and ``_fits`` accepts it iff no added
+reference ``x -> c`` has ``c`` equal to ``x`` or reaching ``x`` in the
+grammar before the edit.  A kind is applicable iff some target fits.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import random
 import struct
@@ -188,10 +197,9 @@ def _reach_sets(rules: Mapping[int, Sequence[Symbol]]) -> dict[int, set[int]]:
     structural-validity precondition).  Iterative depth-first search, so
     a rule chain of any depth is fine; a cycle ends the walk instead of
     looping."""
-    def children(x: int) -> list[int]:
-        return [s.rule_id for s in rules[x]
-                if isinstance(s, RuleRef) and s.rule_id in rules]
-
+    children = {x: {s.rule_id for s in rhs
+                    if isinstance(s, RuleRef) and s.rule_id in rules}
+                for x, rhs in rules.items()}
     reach: dict[int, set[int]] = {}
     entered: set[int] = set()
     for start in rules:
@@ -201,135 +209,16 @@ def _reach_sets(rules: Mapping[int, Sequence[Symbol]]) -> dict[int, set[int]]:
             if x not in entered:
                 # First visit: descend; x is finished on the second.
                 entered.add(x)
-                stack.extend(c for c in children(x) if c not in entered)
+                stack.extend(c for c in children[x] if c not in entered)
                 continue
             stack.pop()
             if x in reach:
                 continue
-            out: set[int] = set()
-            for c in children(x):
-                out.add(c)
+            out = set(children[x])
+            for c in children[x]:
                 out.update(reach.get(c, ()))
             reach[x] = out
     return reach
-
-
-def _swap_is_structural(g_rules: _Rules, edit) -> bool:
-    """Apply ``edit`` to a scratch copy and test structural validity."""
-    scratch = {i: list(rhs) for i, rhs in g_rules.items()}
-    edit(scratch)
-    return validate_grammar(_to_grammar(scratch)).structural_ok
-
-
-# ---------------------------------------------------------------------------
-# applicability
-
-def applicable(g: Grammar, kind: MutationKind) -> bool:
-    """True iff some concrete choice of targets lets apply_mutation
-    succeed.  Exact by construction: each case mirrors the operator's
-    own rejection rules (empty-rhs, distinct-rule, cycle checks)."""
-    kind = MutationKind(kind)
-    rules = _rules_dict(g)
-    ids = sorted(rules)
-    refs = _ref_occurrences(rules)
-    terms = _term_occurrences(rules)
-    k = int(kind)
-
-    if k in (7, 15, 18):
-        return True
-    if k == 1:
-        non_root = [i for i in ids if i != ROOT_ID]
-        if not non_root:
-            return False
-        reach = _reach_sets(rules)
-        return any(s != r and s not in reach[r]
-                   for r in non_root for s in ids)
-    if k in (2, 3):
-        return any(len(rules[h]) >= 2 for h, _, _ in refs)
-    if k == 4:
-        if len(ids) < 2:
-            return False
-        reach = _reach_sets(rules)
-        return any(len(rules[h]) >= 2
-                   and any(b != h and b != t and b not in reach[t] for b in ids)
-                   for h, _, t in refs)
-    if k == 5:
-        per_host: dict[int, int] = {}
-        for h, _, _ in refs:
-            per_host[h] = per_host.get(h, 0) + 1
-        return any(n >= 2 for n in per_host.values())
-    if k == 6:
-        hosts = {h for h, _, _ in refs}
-        if len(hosts) < 2:
-            return False
-        # Equal referents swap to an identical grammar; that pair is
-        # always structurally fine.
-        targets_by_host = {}
-        for h, _, t in refs:
-            targets_by_host.setdefault(h, set()).add(t)
-        seen: set[int] = set()
-        for h, ts in targets_by_host.items():
-            if ts & seen:
-                return True
-            seen |= ts
-        for n1, (h1, i1, _) in enumerate(refs):
-            for h2, i2, _ in refs[n1 + 1:]:
-                if h1 == h2:
-                    continue
-
-                def swap(r, a=h1, i=i1, b=h2, j=i2):
-                    r[a][i], r[b][j] = r[b][j], r[a][i]
-
-                if _swap_is_structural(rules, swap):
-                    return True
-        return False
-    if k in (8, 9):
-        return any(len(rules[h]) >= 2 for h, _ in terms)
-    if k == 10:
-        return len(ids) >= 2 and any(len(rules[h]) >= 2 for h, _ in terms)
-    if k == 11:
-        per_host = {}
-        for h, _ in terms:
-            per_host[h] = per_host.get(h, 0) + 1
-        return any(n >= 2 for n in per_host.values())
-    if k == 12:
-        return len({h for h, _ in terms}) >= 2
-    if k == 13:
-        ref_hosts = {h for h, _, _ in refs}
-        term_hosts = {h for h, _ in terms}
-        return bool(ref_hosts & term_hosts)
-    if k == 14:
-        term_hosts = {h for h, _ in terms}
-        if not refs or not term_hosts:
-            return False
-        reach = _reach_sets(rules)
-        return any(any(b != h and b != t and b not in reach[t]
-                       for b in term_hosts)
-                   for h, _, t in refs)
-    if k == 16:
-        return any(len(rhs) >= 3 for rhs in rules.values())
-    if k == 17:
-        if len(ids) < 2:
-            return False
-        plain = [i for i in ids if not any(isinstance(s, RuleRef)
-                                           for s in rules[i])]
-        if len(plain) >= 2:
-            return True
-        for n1, a in enumerate(ids):
-            for b in ids[n1 + 1:]:
-
-                def swap(r, a=a, b=b):
-                    r[a], r[b] = r[b], r[a]
-
-                if _swap_is_structural(rules, swap):
-                    return True
-        return False
-    if k == 19:
-        non_root = [i for i in ids if i != ROOT_ID]
-        return any(_purge(
-            {i: list(rhs) for i, rhs in rules.items()}, target) is not None
-            for target in non_root)
-    raise ValueError(f"unhandled kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -703,63 +592,77 @@ _OPERATORS = {
 }
 
 
-def _candidate_targets(kind, rules, alphabet, rng):
-    """Every target tuple the kind's random draw could produce.
+# ---------------------------------------------------------------------------
+# targets and applicability (see the module docstring)
 
-    Used only by the fallback pass in :func:`apply_mutation`; shapes
-    match the forced-``targets`` contract there.  Candidates are not
-    pre-filtered for structural validity (the caller validates), only
-    for the cheap local conditions the random path itself enforces.
+
+def _targets(kind, rules, alphabet, rng):
+    """Every target tuple the kind's random draw could produce, lazily.
+
+    Shapes match the forced-``targets`` contract of
+    :func:`apply_mutation`.  Targets are filtered only for the cheap
+    local conditions the random path itself enforces (the rhs that
+    would be emptied, the partner that must exist); whether the edit
+    would close a reference cycle is :func:`_fits`'s question.  The
+    order is fixed, and kind 18 draws one body per insertion point from
+    ``rng`` as it goes, so a caller that lists the whole space takes
+    the same draws every time.
     """
     ids = sorted(rules)
     non_root = [i for i in ids if i != ROOT_ID]
-    refs = [(h, i) for h, i, _ in _ref_occurrences(rules)]
-    terms = _term_occurrences(rules)
     k = int(kind)
+    if k in (2, 3, 4, 5, 6):
+        occs = [(h, i) for h, i, _ in _ref_occurrences(rules)]
+    elif k in (8, 9, 10, 11, 12):
+        occs = _term_occurrences(rules)
     if k == 1:
-        return [(r, h, ix) for r in non_root for h in ids
-                for ix in range(len(rules[h]) + 1)]
-    if k in (2, 8):
-        occs = refs if k == 2 else terms
-        return [(h, i) for h, i in occs if len(rules[h]) > 1]
-    if k in (3, 9):
-        occs = refs if k == 3 else terms
-        return [(h, i, j) for h, i in occs
-                for j in range(len(rules[h])) if j != i]
-    if k in (4, 10):
-        occs = refs if k == 4 else terms
-        return [(h, i, other, ix) for h, i in occs if len(rules[h]) > 1
-                for other in ids if other != h
-                for ix in range(len(rules[other]) + 1)]
-    if k in (5, 11):
-        occs = refs if k == 5 else terms
-        return [(h, i, j) for h, i in occs for g2, j in occs
-                if g2 == h and j > i]
-    if k in (6, 12):
-        occs = refs if k == 6 else terms
-        return [(h1, i1, h2, i2) for h1, i1 in occs for h2, i2 in occs
-                if h1 < h2]
-    if k == 7:
-        return [(h, ix, v) for h in ids for ix in range(len(rules[h]) + 1)
-                for v in alphabet.notes]
-    if k == 13:
-        return [(h, i, j) for h, i in refs for g2, j in terms if g2 == h]
-    if k == 14:
-        return [(h1, i, h2, j) for h1, i in refs for h2, j in terms
-                if h1 != h2]
-    if k == 15:
-        return [(h,) for h in ids]
-    if k == 16:
-        return [(h, s, ln) for h in ids if len(rules[h]) >= 3
-                for ln in range(2, len(rules[h]))
-                for s in range(len(rules[h]) - ln + 1)]
-    if k == 17:
-        return [(a, b) for a in ids for b in ids if a < b]
-    if k == 18:
-        # One freshly drawn body per insertion point; a body can fail
-        # (its references may reach the host), but any body under the
-        # root succeeds, so the pass as a whole cannot.
-        out = []
+        yield from ((r, h, ix) for r in non_root for h in ids
+                    for ix in range(len(rules[h]) + 1))
+    elif k in (2, 8):
+        yield from ((h, i) for h, i in occs if len(rules[h]) > 1)
+    elif k in (3, 9):
+        yield from ((h, i, j) for h, i in occs
+                    for j in range(len(rules[h])) if j != i)
+    elif k in (4, 10):
+        yield from ((h, i, other, ix) for h, i in occs if len(rules[h]) > 1
+                    for other in ids if other != h
+                    for ix in range(len(rules[other]) + 1))
+    elif k in (5, 11):
+        # occs run in (host, index) order: a host's later occurrences
+        # follow it directly.
+        for n, (h, i) in enumerate(occs):
+            for m in range(n + 1, len(occs)):
+                h2, j = occs[m]
+                if h2 != h:
+                    break
+                yield (h, i, j)
+    elif k in (6, 12):
+        yield from ((h1, i1, h2, i2) for n, (h1, i1) in enumerate(occs)
+                    for h2, i2 in occs[n + 1:] if h2 != h1)
+    elif k == 7:
+        yield from ((h, ix, v) for h in ids for ix in range(len(rules[h]) + 1)
+                    for v in alphabet.notes)
+    elif k == 13:
+        term_index: dict[int, list[int]] = {}
+        for h, j in _term_occurrences(rules):
+            term_index.setdefault(h, []).append(j)
+        yield from ((h, i, j) for h, i, _ in _ref_occurrences(rules)
+                    for j in term_index.get(h, ()))
+    elif k == 14:
+        terms = _term_occurrences(rules)
+        yield from ((h1, i, h2, j) for h1, i, _ in _ref_occurrences(rules)
+                    for h2, j in terms if h1 != h2)
+    elif k == 15:
+        yield from ((h,) for h in ids)
+    elif k == 16:
+        yield from ((h, s, ln) for h in ids if len(rules[h]) >= 3
+                    for ln in range(2, len(rules[h]))
+                    for s in range(len(rules[h]) - ln + 1))
+    elif k == 17:
+        yield from ((a, b) for n, a in enumerate(ids) for b in ids[n + 1:])
+    elif k == 18:
+        # A body can fail (its references may reach the host), but any
+        # body under the root succeeds, so the space as a whole cannot.
         for h in ids:
             for ix in range(len(rules[h]) + 1):
                 body = []
@@ -769,11 +672,69 @@ def _candidate_targets(kind, rules, alphabet, rng):
                         body.append(RuleRef(rng.choose(non_root)))
                     else:
                         body.append(Terminal(rng.choose(alphabet.notes)))
-                out.append((h, ix, tuple(body)))
-        return out
-    if k == 19:
-        return [(r,) for r in non_root]
-    raise ValueError(f"unhandled kind {kind!r}")
+                yield (h, ix, tuple(body))
+    elif k == 19:
+        yield from ((r,) for r in non_root)
+    else:
+        raise ValueError(f"unhandled kind {kind!r}")
+
+
+def _new_edges(kind, rules, t):
+    """Yield the (rule, referent) references that the edit ``t`` of
+    ``kind`` adds to the grammar; kinds that only remove references or
+    move symbols within one rule add none."""
+    k = int(kind)
+    if k == 1:
+        ref, host, _ = t
+        yield host, ref
+    elif k in (4, 14):
+        host, index, other, _ = t
+        yield other, rules[host][index].rule_id
+    elif k == 6:
+        h1, i1, h2, i2 = t
+        a, b = rules[h1][i1].rule_id, rules[h2][i2].rule_id
+        if a != b:
+            yield h2, a
+            yield h1, b
+    elif k == 17:
+        a, b = t
+        yield from ((a, s.rule_id) for s in rules[b] if isinstance(s, RuleRef))
+        yield from ((b, s.rule_id) for s in rules[a] if isinstance(s, RuleRef))
+    elif k == 18:
+        host, _, body = t
+        yield from ((host, s.rule_id) for s in body if isinstance(s, RuleRef))
+
+
+def _fits(kind, rules, t, reach) -> bool:
+    """True iff applying target ``t`` of ``kind`` to the acyclic
+    ``rules`` gives a structurally valid grammar.
+
+    ``reach`` is a cached zero-argument callable returning
+    :func:`_reach_sets` of ``rules`` before the edit, so reachability is
+    only computed once some target adds a reference.  Kind 19 fits iff
+    its purge spares the root.  Every other kind fits iff no added
+    reference ``x -> c`` has ``x == c`` or ``x`` reachable from ``c``.
+    That is exact: a new cycle must use an added reference; a shortest
+    one that used a removed reference would close an old cycle, and for
+    kinds 6 and 17 one through both added references does too.
+    """
+    if kind == MutationKind.REMOVE_RULE:
+        return _purge({i: list(rhs) for i, rhs in rules.items()},
+                      t[0]) is not None
+    return not any(x == c or x in reach().get(c, ())
+                   for x, c in _new_edges(kind, rules, t))
+
+
+def applicable(g: Grammar, kind: MutationKind) -> bool:
+    """True iff some concrete choice of targets lets apply_mutation
+    succeed: some target of the kind fits (see :func:`_fits`)."""
+    kind = MutationKind(kind)
+    if kind in (MutationKind.ADD_NOTE, MutationKind.ADD_RULE):
+        return True  # an insertion under the root always fits
+    rules = {r.rule_id: r.rhs for r in g}  # read only: no rhs copies
+    reach = functools.cache(lambda: _reach_sets(rules))
+    return any(_fits(kind, rules, t, reach)
+               for t in _targets(kind, rules, None, None))
 
 
 def apply_mutation(
@@ -809,41 +770,48 @@ def apply_mutation(
     Raises InapplicableMutationError when the precondition fails and
     MutationTargetError when forced targets are unusable.  Drawn
     targets cannot exhaust: after MAX_ATTEMPTS rejected draws the whole
-    target space is tried in shuffled order, and applicability
-    guarantees it contains a valid tuple.
+    target space is scanned in shuffled order for the first target that
+    fits, and applicability guarantees there is one.  Every returned
+    grammar has passed :func:`validate_grammar`.
     """
     kind = MutationKind(kind)
     if not applicable(g, kind):
         raise InapplicableMutationError(
             f"mutation {int(kind)} ({kind.code}) has no valid target here")
     op = _OPERATORS[kind]
+
+    def edit(targets):
+        result = op(_rules_dict(g), alphabet, rng, targets)
+        if result is None:
+            return None
+        new_rules, touched = result
+        candidate = _to_grammar(new_rules)
+        if not validate_grammar(candidate).structural_ok:
+            return None
+        return candidate, tuple(touched)
+
     limit = 1 if targets is not None else MAX_ATTEMPTS
     attempt = 0
     for attempt in range(1, limit + 1):
-        result = op(_rules_dict(g), alphabet, rng, targets)
-        if result is None:
-            continue
-        new_rules, touched = result
-        candidate = _to_grammar(new_rules)
-        if validate_grammar(candidate).structural_ok:
-            return MutationOutcome(kind, candidate, tuple(touched), attempt)
+        result = edit(targets)
+        if result is not None:
+            return MutationOutcome(kind, *result, attempt)
     if targets is not None:
         raise MutationTargetError(
             f"forced targets {targets!r} are invalid for mutation {int(kind)}")
-    pool = _candidate_targets(kind, _rules_dict(g), alphabet, rng)
+    rules = {r.rule_id: r.rhs for r in g}
+    reach = functools.cache(lambda: _reach_sets(rules))
+    pool = list(_targets(kind, rules, alphabet, rng))
     rng.shuffle(pool)
     for cand in pool:
         attempt += 1
-        result = op(_rules_dict(g), alphabet, rng, cand)
-        if result is None:
-            continue
-        new_rules, touched = result
-        candidate = _to_grammar(new_rules)
-        if validate_grammar(candidate).structural_ok:
-            return MutationOutcome(kind, candidate, tuple(touched), attempt)
+        if _fits(kind, rules, cand, reach):
+            result = edit(cand)
+            if result is not None:
+                return MutationOutcome(kind, *result, attempt)
     raise MutationTargetError(
         f"no structurally valid targets exist for mutation {int(kind)}; "
-        f"applicability check out of step with the operator")
+        f"is the input grammar structurally valid?")
 
 
 def random_mutation(
@@ -865,7 +833,11 @@ def random_mutation(
         raise ValueError("cannot exclude every mutation kind")
     while pool:
         kind = pool.pop(rng.below(len(pool)))
-        if applicable(g, kind):
+        try:
+            # applicable() draws nothing, so an inapplicable kind leaves
+            # the stream where it was.
             return apply_mutation(g, kind, alphabet, rng)
+        except InapplicableMutationError:
+            continue
     raise NoApplicableMutationError(
         "no non-excluded mutation kind applies to this grammar")

@@ -77,50 +77,17 @@ class RunResult:
     kinds_applied: tuple[MutationKind, ...]
 
 
-def step(
-    current: Tune,
-    original_alphabet: NoteAlphabet,
-    rng: RandomSource,
-    excluded: frozenset[MutationKind] = DEFAULT_EXCLUDED,
-    *,
-    kind: MutationKind | None = None,
-    targets: tuple | None = None,
-) -> tuple[Tune, MutationKind]:
-    """One loop iteration: induce, mutate once, expand.
-
-    ``kind``/``targets`` force the mutation (golden tests); forced
-    targets take no rng draws.  The caller reparses by feeding the
-    returned tune back in, which is what :func:`run` does.
-    """
-    if not current:
-        raise EmptyTuneError("cannot step an empty tune")
-    g = induce(current)
-    for _ in range(100):
-        if kind is not None:
-            outcome = apply_mutation(g, kind, original_alphabet, rng,
-                                     targets=targets)
-        else:
-            outcome = random_mutation(g, original_alphabet, rng, excluded)
-        new_tune = expand(outcome.grammar)
-        if new_tune:
-            return new_tune, outcome.kind
-    # Unreachable for structurally valid grammars (every rule expands to
-    # at least one note); kept as a hard stop rather than a silent loop.
-    raise TunegramError("mutation kept producing empty expansions")
-
-
 def run(
     t: Sequence[int],
     cfg: RunConfig,
     *,
     kind: MutationKind | None = None,
-    targets: tuple | None = None,
 ) -> RunResult:
     """Run cfg.steps mutations starting from t and record the trajectory.
 
     The note alphabet is frozen from t; mutated tunes never pick up
-    notes the original did not contain.  Forcing ``kind``/``targets``
-    applies to every step and exists for single-step golden tests.
+    notes the original did not contain.  A forced ``kind`` applies at
+    every step, with targets drawn as usual.
     """
     original = tuple(t)
     if not original:
@@ -135,8 +102,7 @@ def run(
     for step_no in range(1, cfg.steps + 1):
         try:
             if kind is not None:
-                outcome = apply_mutation(grammar, kind, alphabet, rng,
-                                         targets=targets)
+                outcome = apply_mutation(grammar, kind, alphabet, rng)
             else:
                 outcome = random_mutation(grammar, alphabet, rng, cfg.excluded)
         except TunegramError as exc:

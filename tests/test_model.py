@@ -1,5 +1,7 @@
 """Grammar value types, rendering, and validity reporting."""
 
+import time
+
 import pytest
 
 from tunegram.model import (
@@ -163,6 +165,23 @@ def test_overlapping_equal_halves_digram_is_sanctioned():
     # four in a row has two non-overlapping occurrences; not fine
     report = validate_grammar(Grammar.from_mapping({0: [4, 4, 4, 4]}))
     assert report.structural_ok and not report.canonical_ok
+
+
+def test_digram_check_is_linear_in_repeats():
+    # One pitch 4,000 times: 3,999 places of one digram.  Comparing them
+    # pairwise took seconds.
+    g = Grammar.from_mapping({0: [4] * 4000})
+    t0 = time.perf_counter()
+    report = validate_grammar(g)
+    assert time.perf_counter() - t0 < 0.5
+    assert report.structural_ok
+    assert report.canonical_violations[0].startswith(
+        "digram 4 4 repeats at p0@0, p0@1, p0@2, ")
+    # a lone pair of places is a repeat unless it overlaps in one rule
+    for mapping in ({0: [4, 4, 5, 4, 4]}, {0: ["p1", 4, 4, "p1"], 1: [4, 4]}):
+        report = validate_grammar(Grammar.from_mapping(mapping))
+        assert any(v.startswith("digram 4 4 ")
+                   for v in report.canonical_violations)
 
 
 def test_underused_rule_breaks_canonicality_only():

@@ -1,5 +1,9 @@
 """Mutation operators: targets, applicability, randomness, fallback."""
 
+import functools
+import random
+import time
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -310,6 +314,53 @@ def test_applicable_on_deep_rule_chain():
     g = gram(mapping)
     for kind in (1, 4, 14):
         assert isinstance(applicable(g, kind), bool)
+
+
+def test_pair_kinds_on_deep_rule_chain_are_fast():
+    # The same chain shape, 300 deep: every reference swap across rules
+    # (kind 6) and every definition swap (kind 17) would close a cycle.
+    # Trying each pair on a validated copy of the grammar took about a
+    # minute per kind.
+    depth = 300
+    mapping = {0: ["p1", 0, "p1", 0]}
+    for i in range(1, depth):
+        mapping[i] = [f"p{i + 1}", i]
+    mapping[depth] = [depth, depth + 1]
+    g = gram(mapping)
+    for kind in (6, 17):
+        t0 = time.perf_counter()
+        assert applicable(g, kind) is False
+        assert time.perf_counter() - t0 < 2.0
+
+
+def test_fits_matches_operator_and_validation():
+    # On small grammars from mutation chains without reparse, a target
+    # fits iff the operator accepts it and the result validates.  Kinds
+    # 7 and 18 are left out: their targets carry alphabet values and
+    # drawn bodies, and applicable() does not enumerate them.
+    rnd = random.Random(2024)
+    checked = 0
+    for chain in range(12):
+        tune = [rnd.randrange(4) for _ in range(rnd.randint(4, 24))]
+        g = induce(tune)
+        a = NoteAlphabet.from_tune(tune)
+        rng = RandomSource(derive_seed(5, chain))
+        for _ in range(8):
+            g = random_mutation(g, a, rng, excluded=frozenset()).grammar
+            rules = mutation_module._rules_dict(g)
+            reach = functools.cache(lambda: mutation_module._reach_sets(rules))
+            for kind in MutationKind:
+                if int(kind) in (7, 18):
+                    continue
+                op = mutation_module._OPERATORS[kind]
+                for t in mutation_module._targets(kind, rules, a, None):
+                    result = op(mutation_module._rules_dict(g), a, None, t)
+                    valid = result is not None and validate_grammar(
+                        mutation_module._to_grammar(result[0])).structural_ok
+                    assert mutation_module._fits(kind, rules, t, reach) \
+                        == valid, (kind, t, render_grammar(g))
+                    checked += 1
+    assert checked > 10_000
 
 
 def test_apply_raises_when_inapplicable():

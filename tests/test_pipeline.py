@@ -16,7 +16,6 @@ from tunegram.pipeline import (
     StepFailedError,
     run,
     run_per_kind,
-    step,
 )
 from tunegram.sequitur import expand, expand_rule, induce
 
@@ -61,30 +60,22 @@ def test_config_rejects_bad_values(kwargs):
 # single steps
 
 
-def test_step_empty_tune():
-    with pytest.raises(EmptyTuneError):
-        step((), NoteAlphabet((1,)), RandomSource(0))
-
-
 def test_step_reversal_only_preserves_length():
     only_reverse = frozenset(MutationKind) - {MutationKind.REVERSE_RULE}
     t = tuple(HORNPIPE)
-    a = NoteAlphabet.from_tune(t)
-    rng = RandomSource(11)
-    for _ in range(10):
-        t, kind = step(t, a, rng, excluded=only_reverse)
-        assert kind is MutationKind.REVERSE_RULE
+    for seed in range(10):
+        result = run(t, RunConfig(steps=1, seed=seed, excluded=only_reverse))
+        t = result.final
+        assert result.kinds_applied == (MutationKind.REVERSE_RULE,)
         assert len(t) == len(HORNPIPE)
         assert sorted(t) == sorted(HORNPIPE)
 
 
 def test_chained_steps_respect_alphabet():
     t = tuple(HORNPIPE)
-    a = NoteAlphabet.from_tune(t)
-    rng = RandomSource(5)
-    for _ in range(25):
-        t, _ = step(t, a, rng)
-        assert set(t) <= set(a.notes)
+    for seed in range(25):
+        t = run(t, RunConfig(steps=1, seed=seed)).final
+        assert set(t) <= set(HORNPIPE)
         assert len(t) >= 1
 
 
@@ -157,11 +148,14 @@ def test_run_forced_definition_swap_golden():
     g = induce(HORNPIPE)
     by_expansion = {expand_rule(g, i): i for i in g.rule_ids()}
     targets = (by_expansion[(2, 1, 2)], by_expansion[(4, 4)])
-    result = run(HORNPIPE, RunConfig(steps=1, seed=0),
-                 kind=MutationKind.SWAP_DEFINITIONS, targets=targets)
-    assert result.final == HORNPIPE_SWAPPED
-    assert result.trajectory[0].ed_vs_original == 21
-    assert result.trajectory[0].length == 49
+    outcome = apply_mutation(g, MutationKind.SWAP_DEFINITIONS,
+                             NoteAlphabet.from_tune(HORNPIPE), RandomSource(0),
+                             targets=targets)
+    swapped = expand(outcome.grammar)
+    assert swapped == HORNPIPE_SWAPPED
+    assert levenshtein(HORNPIPE, swapped) == 21
+    assert len(swapped) == 49
+
 
 
 def test_run_surfaces_step_failures():
