@@ -60,6 +60,13 @@ def test_config_rejects_bad_values(kwargs):
 # single steps
 
 
+def test_step_empty_tune():
+    only_reverse = frozenset(MutationKind) - {MutationKind.REVERSE_RULE}
+    for empty in ((), [], iter(())):
+        with pytest.raises(EmptyTuneError):
+            run(empty, RunConfig(steps=1, seed=0, excluded=only_reverse))
+
+
 def test_step_reversal_only_preserves_length():
     only_reverse = frozenset(MutationKind) - {MutationKind.REVERSE_RULE}
     t = tuple(HORNPIPE)
