@@ -6,25 +6,33 @@ mix or reorder the two, 17-19 act on whole rules.  ``KIND_EFFECT``
 classifies each kind by whether it adds material, removes material, or
 only rearranges it.
 
-Every random choice (kind, rule, occurrence, index, span, symbol) is
-drawn uniformly from a :class:`RandomSource`.  Occurrence selection is
-occurrence-uniform: each RuleRef or terminal occurrence across the
-whole grammar is equally likely, rather than first picking a rule.
-After a candidate edit the result is structurally validated; edits that
-would create a reference cycle or an empty rhs cause the targets (not
-the kind) to be resampled, up to ``MAX_ATTEMPTS`` draws.  If blind
-resampling exhausts (the valid targets can be a sliver of the draw
-space, e.g. cycle-free rule pairs in a densely referencing grammar),
-the whole target space is enumerated in shuffled order and the first
-target that fits is applied, so an applicable kind always succeeds.
+A mutation is decided on its target, a tuple naming the rules,
+positions and symbols the edit uses (shapes in :func:`apply_mutation`),
+before any rule is copied.  Targets come from three sources, and all
+take one path: target, fit rule, edit on one copy, safety net.
 
-Applicability is derived, not tabulated.  Each kind has one target
-enumerator (``_targets``), and an edit on a structurally valid grammar
-can only fail by closing a reference cycle or by purging the root (an
-empty rhs is ruled out by the enumerator).  ``_new_edges`` lists the
-references a target adds, and ``_fits`` accepts it iff no added
-reference ``x -> c`` has ``c`` equal to ``x`` or reaching ``x`` in the
-grammar before the edit.  A kind is applicable iff some target fits.
+- Drawn: ``_draw`` makes every random choice (rule, occurrence, index,
+  span, symbol) uniformly from a :class:`RandomSource`.  Occurrences
+  are drawn occurrence-uniform: each RuleRef or terminal occurrence in
+  the whole grammar is equally likely, rather than first picking a
+  rule.  A draw that would empty an rhs or finds no partner gives no
+  target.  Up to ``MAX_ATTEMPTS`` draws are made.  If none fits (the
+  fitting targets can be a sliver of the draw space, e.g. cycle-free
+  rule pairs in a densely referencing grammar), the fallback takes the
+  whole target space (``_targets``) in shuffled order, so an applicable
+  kind always succeeds.
+- Forced: the caller names the target and ``_is_target`` checks its
+  ranges and symbol types.
+
+The fit rule ``_fits`` is exact on a structurally valid grammar: an
+edit there can only fail by closing a reference cycle or by purging the
+root, since every source rules out an emptied rhs.  ``_new_edges``
+lists the references a target adds, and ``_fits`` accepts it iff no
+added reference ``x -> c`` has ``c`` equal to ``x`` or reaching ``x``
+in the grammar before the edit.  A kind is applicable iff some target
+fits.  Only the accepted target is applied by ``_edit``, and the
+result goes through ``validate_grammar``'s structural check once, as a
+safety net against structurally invalid input.
 """
 
 from __future__ import annotations
@@ -86,8 +94,9 @@ class InapplicableMutationError(TunegramError):
 
 
 class MutationTargetError(TunegramError):
-    """Forced targets were unusable, or (for drawn targets) even the
-    exhaustive fallback found no structurally valid edit."""
+    """Forced targets were unusable, or the input grammar was not
+    structurally valid (no target fitted, or the edit failed the safety
+    net)."""
 
 
 class NoApplicableMutationError(TunegramError):
@@ -221,319 +230,25 @@ def _reach_sets(rules: Mapping[int, Sequence[Symbol]]) -> dict[int, set[int]]:
     return reach
 
 
-# ---------------------------------------------------------------------------
-# the operators
-#
-# Each operator edits a private rules dict and returns (rules, touched),
-# or None to signal "reject these targets, draw again".  With forced
-# targets the operator takes no rng draws at all.
-
-def _op_add_rule_ref(rules, alphabet, rng, targets):
-    non_root = [i for i in sorted(rules) if i != ROOT_ID]
-    if targets is not None:
-        ref_id, host, index = targets
-        if ref_id not in rules or ref_id == ROOT_ID or host not in rules:
-            return None
-        if not 0 <= index <= len(rules[host]):
-            return None
-    else:
-        ref_id = rng.choose(non_root)
-        host = rng.choose(sorted(rules))
-        index = rng.below(len(rules[host]) + 1)
-    rules[host].insert(index, RuleRef(ref_id))
-    return rules, [host]
-
-
-def _op_remove_rule_ref(rules, alphabet, rng, targets):
-    if targets is not None:
-        host, index = targets
-        if host not in rules or not 0 <= index < len(rules[host]) \
-                or not isinstance(rules[host][index], RuleRef):
-            return None
-    else:
-        host, index, _ = rng.choose(_ref_occurrences(rules))
-    if len(rules[host]) == 1:
-        return None  # would empty the rule
-    del rules[host][index]
-    return rules, [host]
-
-
-def _move_within(rules, rng, occ_kind, targets):
-    if targets is not None:
-        host, index, new_index = targets
-        if host not in rules or not 0 <= index < len(rules[host]):
-            return None
-        if not isinstance(rules[host][index], occ_kind):
-            return None
-        if new_index == index or not 0 <= new_index < len(rules[host]):
-            return None
-    else:
-        if occ_kind is RuleRef:
-            host, index, _ = rng.choose(_ref_occurrences(rules))
+def _new_body(non_root: list[int], alphabet: NoteAlphabet,
+              rng: RandomSource) -> tuple[Symbol, ...]:
+    """Kind 18's fresh rhs: a drawn length, then per symbol a coin flip
+    between a reference to a non-root rule and a note."""
+    body = []
+    for _ in range(rng.between(NEW_RULE_MIN_LEN, NEW_RULE_MAX_LEN)):
+        if non_root and rng.below(2) == 1:
+            body.append(RuleRef(rng.choose(non_root)))
         else:
-            host, index = rng.choose(_term_occurrences(rules))
-        if len(rules[host]) < 2:
-            return None
-        new_index = rng.choose([p for p in range(len(rules[host]))
-                                if p != index])
-    sym = rules[host].pop(index)
-    rules[host].insert(new_index, sym)
-    return rules, [host]
+            body.append(Terminal(rng.choose(alphabet.notes)))
+    return tuple(body)
 
 
-def _op_move_rule_ref_within(rules, alphabet, rng, targets):
-    return _move_within(rules, rng, RuleRef, targets)
-
-
-def _op_move_note_within(rules, alphabet, rng, targets):
-    return _move_within(rules, rng, Terminal, targets)
-
-
-def _move_across(rules, rng, occ_kind, targets):
-    if targets is not None:
-        host, index, other, new_index = targets
-        if host not in rules or other not in rules or other == host:
-            return None
-        if not 0 <= index < len(rules[host]) \
-                or not isinstance(rules[host][index], occ_kind):
-            return None
-        if not 0 <= new_index <= len(rules[other]):
-            return None
-    else:
-        if occ_kind is RuleRef:
-            host, index, _ = rng.choose(_ref_occurrences(rules))
-        else:
-            host, index = rng.choose(_term_occurrences(rules))
-        others = [i for i in sorted(rules) if i != host]
-        if len(rules[host]) < 2 or not others:
-            return None  # moving out would empty the host
-        other = rng.choose(others)
-        new_index = rng.below(len(rules[other]) + 1)
-    sym = rules[host].pop(index)
-    rules[other].insert(new_index, sym)
-    return rules, [host, other]
-
-
-def _op_move_rule_ref_across(rules, alphabet, rng, targets):
-    return _move_across(rules, rng, RuleRef, targets)
-
-
-def _op_move_note_across(rules, alphabet, rng, targets):
-    return _move_across(rules, rng, Terminal, targets)
-
-
-def _swap_within(rules, rng, occ_kind, targets):
-    if targets is not None:
-        host, i, j = targets
-        if host not in rules or i == j:
-            return None
-        rhs = rules[host]
-        if not (0 <= i < len(rhs) and 0 <= j < len(rhs)):
-            return None
-        if not (isinstance(rhs[i], occ_kind) and isinstance(rhs[j], occ_kind)):
-            return None
-    else:
-        if occ_kind is RuleRef:
-            occs = [(h, i) for h, i, _ in _ref_occurrences(rules)]
-        else:
-            occs = _term_occurrences(rules)
-        host, i = rng.choose(occs)
-        partners = [idx for h, idx in occs if h == host and idx != i]
-        if not partners:
-            return None
-        j = rng.choose(partners)
-    rules[host][i], rules[host][j] = rules[host][j], rules[host][i]
-    return rules, [host]
-
-
-def _op_swap_rule_refs_within(rules, alphabet, rng, targets):
-    return _swap_within(rules, rng, RuleRef, targets)
-
-
-def _op_swap_notes_within(rules, alphabet, rng, targets):
-    return _swap_within(rules, rng, Terminal, targets)
-
-
-def _swap_across(rules, rng, occ_kind, targets):
-    if targets is not None:
-        h1, i1, h2, i2 = targets
-        if h1 not in rules or h2 not in rules or h1 == h2:
-            return None
-        if not (0 <= i1 < len(rules[h1]) and 0 <= i2 < len(rules[h2])):
-            return None
-        if not (isinstance(rules[h1][i1], occ_kind)
-                and isinstance(rules[h2][i2], occ_kind)):
-            return None
-    else:
-        if occ_kind is RuleRef:
-            occs = [(h, i) for h, i, _ in _ref_occurrences(rules)]
-        else:
-            occs = _term_occurrences(rules)
-        h1, i1 = rng.choose(occs)
-        partners = [(h, i) for h, i in occs if h != h1]
-        if not partners:
-            return None
-        h2, i2 = rng.choose(partners)
-    rules[h1][i1], rules[h2][i2] = rules[h2][i2], rules[h1][i1]
-    return rules, [h1, h2]
-
-
-def _op_swap_rule_refs_across(rules, alphabet, rng, targets):
-    return _swap_across(rules, rng, RuleRef, targets)
-
-
-def _op_swap_notes_across(rules, alphabet, rng, targets):
-    return _swap_across(rules, rng, Terminal, targets)
-
-
-def _op_add_note(rules, alphabet, rng, targets):
-    if targets is not None:
-        host, index, value = targets
-        if host not in rules or not 0 <= index <= len(rules[host]):
-            return None
-        if value not in alphabet:
-            return None
-    else:
-        host = rng.choose(sorted(rules))
-        index = rng.below(len(rules[host]) + 1)
-        value = rng.choose(alphabet.notes)
-    rules[host].insert(index, Terminal(value))
-    return rules, [host]
-
-
-def _op_remove_note(rules, alphabet, rng, targets):
-    if targets is not None:
-        host, index = targets
-        if host not in rules or not 0 <= index < len(rules[host]) \
-                or not isinstance(rules[host][index], Terminal):
-            return None
-    else:
-        host, index = rng.choose(_term_occurrences(rules))
-    if len(rules[host]) == 1:
-        return None
-    del rules[host][index]
-    return rules, [host]
-
-
-def _op_swap_ref_with_note(rules, alphabet, rng, targets):
-    if targets is not None:
-        host, ref_index, term_index = targets
-        if host not in rules:
-            return None
-        rhs = rules[host]
-        if not (0 <= ref_index < len(rhs) and 0 <= term_index < len(rhs)):
-            return None
-        if not (isinstance(rhs[ref_index], RuleRef)
-                and isinstance(rhs[term_index], Terminal)):
-            return None
-    else:
-        host, ref_index, _ = rng.choose(_ref_occurrences(rules))
-        partners = [i for i, s in enumerate(rules[host])
-                    if isinstance(s, Terminal)]
-        if not partners:
-            return None
-        term_index = rng.choose(partners)
-    rhs = rules[host]
-    rhs[ref_index], rhs[term_index] = rhs[term_index], rhs[ref_index]
-    return rules, [host]
-
-
-def _op_swap_ref_with_note_across(rules, alphabet, rng, targets):
-    if targets is not None:
-        h1, ref_index, h2, term_index = targets
-        if h1 not in rules or h2 not in rules or h1 == h2:
-            return None
-        if not 0 <= ref_index < len(rules[h1]) \
-                or not isinstance(rules[h1][ref_index], RuleRef):
-            return None
-        if not 0 <= term_index < len(rules[h2]) \
-                or not isinstance(rules[h2][term_index], Terminal):
-            return None
-    else:
-        h1, ref_index, _ = rng.choose(_ref_occurrences(rules))
-        partners = [(h, i) for h, i in _term_occurrences(rules) if h != h1]
-        if not partners:
-            return None
-        h2, term_index = rng.choose(partners)
-    a = rules[h1][ref_index]
-    b = rules[h2][term_index]
-    rules[h1][ref_index] = b
-    rules[h2][term_index] = a
-    return rules, [h1, h2]
-
-
-def _op_reverse_rule(rules, alphabet, rng, targets):
-    if targets is not None:
-        (host,) = targets
-        if host not in rules:
-            return None
-    else:
-        host = rng.choose(sorted(rules))
-    rules[host].reverse()
-    return rules, [host]
-
-
-def _op_reverse_span(rules, alphabet, rng, targets):
-    if targets is not None:
-        host, start, length = targets
-        if host not in rules:
-            return None
-        rhs_len = len(rules[host])
-        if not (2 <= length < rhs_len and 0 <= start <= rhs_len - length):
-            return None
-    else:
-        host = rng.choose(sorted(rules))
-        rhs_len = len(rules[host])
-        if rhs_len < 3:
-            return None
-        spans = [(s, ln) for ln in range(2, rhs_len)
-                 for s in range(rhs_len - ln + 1)]
-        start, length = rng.choose(spans)
-    rules[host][start:start + length] = \
-        rules[host][start:start + length][::-1]
-    return rules, [host]
-
-
-def _op_swap_definitions(rules, alphabet, rng, targets):
-    if targets is not None:
-        a, b = targets
-        if a not in rules or b not in rules or a == b:
-            return None
-    else:
-        a = rng.choose(sorted(rules))
-        b = rng.choose([i for i in sorted(rules) if i != a])
-    rules[a], rules[b] = rules[b], rules[a]
-    return rules, [a, b]
-
-
-def _op_add_rule(rules, alphabet, rng, targets):
-    new_id = max(rules) + 1
-    if targets is not None:
-        host, index, body = targets
-        if host not in rules or not 0 <= index <= len(rules[host]):
-            return None
-        body = list(body)
-        if not body:
-            return None
-    else:
-        length = rng.between(NEW_RULE_MIN_LEN, NEW_RULE_MAX_LEN)
-        non_root = [i for i in sorted(rules) if i != ROOT_ID]
-        body = []
-        for _ in range(length):
-            if non_root and rng.below(2) == 1:
-                body.append(RuleRef(rng.choose(non_root)))
-            else:
-                body.append(Terminal(rng.choose(alphabet.notes)))
-        host = rng.choose(sorted(rules))
-        index = rng.below(len(rules[host]) + 1)
-    rules[new_id] = body
-    rules[host].insert(index, RuleRef(new_id))
-    return rules, [new_id, host]
-
-
-def _purge(rules: _Rules, target: int) -> tuple[_Rules, list[int]] | None:
+def _purge(rules: Mapping[int, Sequence[Symbol]], target: int) -> list[int] | None:
     """Delete a rule and every reference to it, cascading through rules
-    the purge empties.  None if the cascade would take out the root."""
+    the purge empties; return the ids removed or edited, or None if the
+    cascade would take out the root.  Entries of ``rules`` are replaced,
+    never edited in place, so a shallow copy of a read-only mapping will
+    do."""
     touched: set[int] = set()
     doomed = [target]
     removed: set[int] = set()
@@ -553,47 +268,146 @@ def _purge(rules: _Rules, target: int) -> tuple[_Rules, list[int]] | None:
                 touched.add(host)
                 if not kept:
                     doomed.append(host)
-    return rules, sorted(removed | touched)
-
-
-def _op_remove_rule(rules, alphabet, rng, targets):
-    if targets is not None:
-        (target,) = targets
-        if target not in rules or target == ROOT_ID:
-            return None
-    else:
-        non_root = [i for i in sorted(rules) if i != ROOT_ID]
-        if not non_root:
-            return None
-        target = rng.choose(non_root)
-    return _purge(rules, target)
-
-
-_OPERATORS = {
-    MutationKind.ADD_RULE_REF: _op_add_rule_ref,
-    MutationKind.REMOVE_RULE_REF: _op_remove_rule_ref,
-    MutationKind.MOVE_RULE_REF_WITHIN: _op_move_rule_ref_within,
-    MutationKind.MOVE_RULE_REF_ACROSS: _op_move_rule_ref_across,
-    MutationKind.SWAP_RULE_REFS_WITHIN: _op_swap_rule_refs_within,
-    MutationKind.SWAP_RULE_REFS_ACROSS: _op_swap_rule_refs_across,
-    MutationKind.ADD_NOTE: _op_add_note,
-    MutationKind.REMOVE_NOTE: _op_remove_note,
-    MutationKind.MOVE_NOTE_WITHIN: _op_move_note_within,
-    MutationKind.MOVE_NOTE_ACROSS: _op_move_note_across,
-    MutationKind.SWAP_NOTES_WITHIN: _op_swap_notes_within,
-    MutationKind.SWAP_NOTES_ACROSS: _op_swap_notes_across,
-    MutationKind.SWAP_REF_WITH_NOTE: _op_swap_ref_with_note,
-    MutationKind.SWAP_REF_WITH_NOTE_ACROSS: _op_swap_ref_with_note_across,
-    MutationKind.REVERSE_RULE: _op_reverse_rule,
-    MutationKind.REVERSE_SPAN: _op_reverse_span,
-    MutationKind.SWAP_DEFINITIONS: _op_swap_definitions,
-    MutationKind.ADD_RULE: _op_add_rule,
-    MutationKind.REMOVE_RULE: _op_remove_rule,
-}
+    return sorted(removed | touched)
 
 
 # ---------------------------------------------------------------------------
-# targets and applicability (see the module docstring)
+# targets: draw, check, enumerate, fit and edit (see the module docstring)
+#
+# Every function here but _edit reads the rules without changing them,
+# so it can run on the grammar's own rhs tuples.
+
+
+def _draw(kind, rules, alphabet, rng):
+    """One random target of ``kind``, shaped as in :func:`apply_mutation`,
+    or None when the drawn symbol's removal would empty its rhs, it has
+    no partner, or the drawn rule is too short to hold a span."""
+    k = int(kind)
+    ids = sorted(rules)
+    non_root = [i for i in ids if i != ROOT_ID]
+    if k == 1:
+        ref = rng.choose(non_root)
+        host = rng.choose(ids)
+        return ref, host, rng.below(len(rules[host]) + 1)
+    if k == 18:
+        body = _new_body(non_root, alphabet, rng)
+        host = rng.choose(ids)
+        return host, rng.below(len(rules[host]) + 1), body
+    if k == 19:
+        return (rng.choose(non_root),) if non_root else None
+    if k in (7, 15, 16, 17):
+        host = rng.choose(ids)
+        n = len(rules[host])
+        if k == 7:
+            return host, rng.below(n + 1), rng.choose(alphabet.notes)
+        if k == 15:
+            return (host,)
+        if k == 17:
+            return host, rng.choose([i for i in ids if i != host])
+        if n < 3:
+            return None
+        # rng.choose over the length-major list of (start, length) spans,
+        # unranked instead of built: that list holds O(n**2) spans.
+        r = rng.below((n + 1) * (n - 2) // 2)
+        for length in range(2, n):
+            if r <= n - length:
+                return host, r, length
+            r -= n - length + 1
+    if k in (8, 9, 10, 11, 12):
+        occs = _term_occurrences(rules)
+    else:
+        occs = [(h, i) for h, i, _ in _ref_occurrences(rules)]
+    host, index = rng.choose(occs)
+    n = len(rules[host])
+    if k in (2, 8):
+        return (host, index) if n > 1 else None
+    if k in (3, 9):
+        if n < 2:
+            return None
+        return host, index, rng.choose([p for p in range(n) if p != index])
+    if k in (4, 10):
+        others = [i for i in ids if i != host]
+        if n < 2 or not others:
+            return None  # moving out would empty the host
+        other = rng.choose(others)
+        return host, index, other, rng.below(len(rules[other]) + 1)
+    if k in (5, 11):
+        partners = [i for h, i in occs if h == host and i != index]
+    elif k in (6, 12):
+        partners = [(h, i) for h, i in occs if h != host]
+    elif k == 13:
+        partners = [i for i, s in enumerate(rules[host])
+                    if isinstance(s, Terminal)]
+    else:
+        partners = [(h, i) for h, i in _term_occurrences(rules) if h != host]
+    if not partners:
+        return None
+    partner = rng.choose(partners)
+    return (host, index, partner) if k in (5, 11, 13) \
+        else (host, index, *partner)
+
+
+def _is_target(kind, rules, alphabet, t) -> bool:
+    """True iff the forced target ``t`` names symbols and positions that
+    exist, of the kind's symbol types, in distinct rules where the kind
+    needs two, leaves no rhs empty, and (kind 7) inserts a note of the
+    alphabet.  Whether its edit would close a cycle is :func:`_fits`'s
+    question.  Constant time for every kind but 18, whose body is read."""
+    k = int(kind)
+    typ = RuleRef if k <= 6 else Terminal
+
+    def at(h, i, want):  # (h, i) holds a symbol of type want
+        return h in rules and 0 <= i < len(rules[h]) \
+            and isinstance(rules[h][i], want)
+
+    def gap(h, i):  # (h, i) is an insertion point
+        return h in rules and 0 <= i <= len(rules[h])
+
+    if k == 1:
+        ref, host, index = t
+        return ref in rules and ref != ROOT_ID and gap(host, index)
+    if k in (2, 8):
+        host, index = t
+        return at(host, index, typ) and len(rules[host]) > 1
+    if k in (3, 9):
+        host, index, new_index = t
+        return at(host, index, typ) and new_index != index \
+            and 0 <= new_index < len(rules[host])
+    if k in (4, 10):
+        host, index, other, new_index = t
+        return at(host, index, typ) and len(rules[host]) > 1 \
+            and other != host and gap(other, new_index)
+    if k in (5, 11):
+        host, i, j = t
+        return i != j and at(host, i, typ) and at(host, j, typ)
+    if k in (6, 12):
+        h1, i1, h2, i2 = t
+        return h1 != h2 and at(h1, i1, typ) and at(h2, i2, typ)
+    if k == 13:
+        host, i, j = t
+        return at(host, i, RuleRef) and at(host, j, Terminal)
+    if k == 14:
+        h1, i, h2, j = t
+        return h1 != h2 and at(h1, i, RuleRef) and at(h2, j, Terminal)
+    if k == 7:
+        host, index, value = t
+        return gap(host, index) and value in alphabet
+    if k == 15:
+        (host,) = t
+        return host in rules
+    if k == 16:
+        host, start, length = t
+        return host in rules and 2 <= length < len(rules[host]) \
+            and 0 <= start <= len(rules[host]) - length
+    if k == 17:
+        a, b = t
+        return a in rules and b in rules and a != b
+    if k == 18:
+        host, index, body = t
+        return gap(host, index) and len(body) > 0 and all(
+            s.rule_id in rules for s in body if isinstance(s, RuleRef))
+    (target,) = t  # kind 19
+    return target in rules and target != ROOT_ID
 
 
 def _targets(kind, rules, alphabet, rng):
@@ -601,12 +415,12 @@ def _targets(kind, rules, alphabet, rng):
 
     Shapes match the forced-``targets`` contract of
     :func:`apply_mutation`.  Targets are filtered only for the cheap
-    local conditions the random path itself enforces (the rhs that
-    would be emptied, the partner that must exist); whether the edit
-    would close a reference cycle is :func:`_fits`'s question.  The
-    order is fixed, and kind 18 draws one body per insertion point from
-    ``rng`` as it goes, so a caller that lists the whole space takes
-    the same draws every time.
+    local conditions the draw itself enforces (the rhs that would be
+    emptied, the partner that must exist); whether the edit would close
+    a reference cycle is :func:`_fits`'s question.  The order is fixed,
+    and kind 18 draws one body per insertion point from ``rng`` as it
+    goes, so a caller that lists the whole space takes the same draws
+    every time.
     """
     ids = sorted(rules)
     non_root = [i for i in ids if i != ROOT_ID]
@@ -665,24 +479,16 @@ def _targets(kind, rules, alphabet, rng):
         # body under the root succeeds, so the space as a whole cannot.
         for h in ids:
             for ix in range(len(rules[h]) + 1):
-                body = []
-                for _ in range(rng.between(NEW_RULE_MIN_LEN,
-                                           NEW_RULE_MAX_LEN)):
-                    if non_root and rng.below(2) == 1:
-                        body.append(RuleRef(rng.choose(non_root)))
-                    else:
-                        body.append(Terminal(rng.choose(alphabet.notes)))
-                yield (h, ix, tuple(body))
-    elif k == 19:
+                yield (h, ix, _new_body(non_root, alphabet, rng))
+    else:  # kind 19
         yield from ((r,) for r in non_root)
-    else:
-        raise ValueError(f"unhandled kind {kind!r}")
 
 
 def _new_edges(kind, rules, t):
     """Yield the (rule, referent) references that the edit ``t`` of
     ``kind`` adds to the grammar; kinds that only remove references or
-    move symbols within one rule add none."""
+    move symbols within one rule add none.  Kind 17 is decided in
+    :func:`_fits` directly."""
     k = int(kind)
     if k == 1:
         ref, host, _ = t
@@ -696,10 +502,6 @@ def _new_edges(kind, rules, t):
         if a != b:
             yield h2, a
             yield h1, b
-    elif k == 17:
-        a, b = t
-        yield from ((a, s.rule_id) for s in rules[b] if isinstance(s, RuleRef))
-        yield from ((b, s.rule_id) for s in rules[a] if isinstance(s, RuleRef))
     elif k == 18:
         host, _, body = t
         yield from ((host, s.rule_id) for s in body if isinstance(s, RuleRef))
@@ -716,13 +518,84 @@ def _fits(kind, rules, t, reach) -> bool:
     reference ``x -> c`` has ``x == c`` or ``x`` reachable from ``c``.
     That is exact: a new cycle must use an added reference; a shortest
     one that used a removed reference would close an old cycle, and for
-    kinds 6 and 17 one through both added references does too.
+    kinds 6 and 17 one through both added references does too.  For a
+    definition swap (kind 17) of ``a`` and ``b`` the rule reduces to:
+    neither rule reaches the other.
     """
     if kind == MutationKind.REMOVE_RULE:
-        return _purge({i: list(rhs) for i, rhs in rules.items()},
-                      t[0]) is not None
+        return _purge(dict(rules), t[0]) is not None
+    if kind == MutationKind.SWAP_DEFINITIONS:
+        a, b = t
+        return a not in reach()[b] and b not in reach()[a]
     return not any(x == c or x in reach().get(c, ())
                    for x, c in _new_edges(kind, rules, t))
+
+
+def _edit(kind, rules: _Rules, t) -> list[int]:
+    """Apply target ``t`` of ``kind`` to ``rules`` in place; return the
+    rule ids created, removed or edited.  ``t`` must pass
+    :func:`_is_target` (a drawn or enumerated one does) and
+    :func:`_fits`."""
+    k = int(kind)
+    if k == 1:
+        ref, host, index = t
+        rules[host].insert(index, RuleRef(ref))
+        return [host]
+    if k in (2, 8):
+        host, index = t
+        del rules[host][index]
+        return [host]
+    if k in (3, 9):
+        host, index, new_index = t
+        rules[host].insert(new_index, rules[host].pop(index))
+        return [host]
+    if k in (4, 10):
+        host, index, other, new_index = t
+        rules[other].insert(new_index, rules[host].pop(index))
+        return [host, other]
+    if k in (5, 11, 13):
+        host, i, j = t
+        rhs = rules[host]
+        rhs[i], rhs[j] = rhs[j], rhs[i]
+        return [host]
+    if k in (6, 12, 14):
+        h1, i1, h2, i2 = t
+        rules[h1][i1], rules[h2][i2] = rules[h2][i2], rules[h1][i1]
+        return [h1, h2]
+    if k == 7:
+        host, index, value = t
+        rules[host].insert(index, Terminal(value))
+        return [host]
+    if k == 15:
+        (host,) = t
+        rules[host].reverse()
+        return [host]
+    if k == 16:
+        host, start, length = t
+        rules[host][start:start + length] = \
+            rules[host][start:start + length][::-1]
+        return [host]
+    if k == 17:
+        a, b = t
+        rules[a], rules[b] = rules[b], rules[a]
+        return [a, b]
+    if k == 18:
+        host, index, body = t
+        new_id = max(rules) + 1
+        rules[new_id] = list(body)
+        rules[host].insert(index, RuleRef(new_id))
+        return [new_id, host]
+    return _purge(rules, t[0])  # kind 19
+
+
+def _candidates(kind, rules, alphabet, rng):
+    """(attempt, target or None) for drawn targets: ``MAX_ATTEMPTS``
+    draws, then the whole target space in shuffled order."""
+    for attempt in range(1, MAX_ATTEMPTS + 1):
+        yield attempt, _draw(kind, rules, alphabet, rng)
+    pool = list(_targets(kind, rules, alphabet, rng))
+    rng.shuffle(pool)
+    yield from enumerate(pool, MAX_ATTEMPTS + 1)
 
 
 def applicable(g: Grammar, kind: MutationKind) -> bool:
@@ -733,6 +606,12 @@ def applicable(g: Grammar, kind: MutationKind) -> bool:
         return True  # an insertion under the root always fits
     rules = {r.rule_id: r.rhs for r in g}  # read only: no rhs copies
     reach = functools.cache(lambda: _reach_sets(rules))
+    if kind == MutationKind.SWAP_DEFINITIONS:
+        # Acyclic: each unordered pair of rules is reachable one way at
+        # most, so the reachable pairs number sum(|reach[x]|), and some
+        # pair is free of reachability iff that falls short of C(R, 2).
+        n = len(rules)
+        return sum(map(len, reach().values())) < n * (n - 1) // 2
     return any(_fits(kind, rules, t, reach)
                for t in _targets(kind, rules, None, None))
 
@@ -747,9 +626,9 @@ def apply_mutation(
 ) -> MutationOutcome:
     """Apply one mutation of the given kind, drawing targets from rng.
 
-    ``targets`` forces the operator's choices instead (used by golden
-    tests); its shape is kind-specific, matching the order the operator
-    would draw them:
+    ``targets`` forces the draw's choices instead (used by golden
+    tests); its shape is kind-specific, matching the order the draw
+    makes them:
 
     ==== =========================================
     1    (ref_rule, host, index)
@@ -768,50 +647,50 @@ def apply_mutation(
     ==== =========================================
 
     Raises InapplicableMutationError when the precondition fails and
-    MutationTargetError when forced targets are unusable.  Drawn
-    targets cannot exhaust: after MAX_ATTEMPTS rejected draws the whole
-    target space is scanned in shuffled order for the first target that
-    fits, and applicability guarantees there is one.  Every returned
-    grammar has passed :func:`validate_grammar`.
+    MutationTargetError when forced targets are unusable (attempts is
+    then 1).  Drawn targets cannot exhaust: after MAX_ATTEMPTS draws
+    without a fitting target the whole target space is scanned in
+    shuffled order for the first target that fits, and applicability
+    guarantees there is one.
+
+    Only the accepted target is applied, to one copy of the rules, and
+    the result passes :func:`validate_grammar`'s structural check.  On
+    a structurally valid grammar that check cannot fail.  If it does,
+    the input was not structurally valid, and MutationTargetError is
+    raised at once: no further targets are tried in the hope that one
+    repairs the input.
     """
     kind = MutationKind(kind)
     if not applicable(g, kind):
         raise InapplicableMutationError(
             f"mutation {int(kind)} ({kind.code}) has no valid target here")
-    op = _OPERATORS[kind]
-
-    def edit(targets):
-        result = op(_rules_dict(g), alphabet, rng, targets)
-        if result is None:
-            return None
-        new_rules, touched = result
-        candidate = _to_grammar(new_rules)
-        if not validate_grammar(candidate).structural_ok:
-            return None
-        return candidate, tuple(touched)
-
-    limit = 1 if targets is not None else MAX_ATTEMPTS
-    attempt = 0
-    for attempt in range(1, limit + 1):
-        result = edit(targets)
-        if result is not None:
-            return MutationOutcome(kind, *result, attempt)
-    if targets is not None:
-        raise MutationTargetError(
-            f"forced targets {targets!r} are invalid for mutation {int(kind)}")
-    rules = {r.rule_id: r.rhs for r in g}
+    rules = {r.rule_id: r.rhs for r in g}  # read only: no rhs copies
     reach = functools.cache(lambda: _reach_sets(rules))
-    pool = list(_targets(kind, rules, alphabet, rng))
-    rng.shuffle(pool)
-    for cand in pool:
-        attempt += 1
-        if _fits(kind, rules, cand, reach):
-            result = edit(cand)
-            if result is not None:
-                return MutationOutcome(kind, *result, attempt)
-    raise MutationTargetError(
-        f"no structurally valid targets exist for mutation {int(kind)}; "
-        f"is the input grammar structurally valid?")
+    if targets is not None:
+        found = [(1, targets)] if _is_target(kind, rules, alphabet, targets) \
+            else []
+    else:
+        found = _candidates(kind, rules, alphabet, rng)
+    for attempts, t in found:
+        if t is not None and _fits(kind, rules, t, reach):
+            break
+    else:
+        if targets is not None:
+            raise MutationTargetError(f"forced targets {targets!r} are "
+                                      f"invalid for mutation {int(kind)}")
+        raise MutationTargetError(
+            f"no structurally valid targets exist for mutation {int(kind)}; "
+            f"is the input grammar structurally valid?")
+    new_rules = _rules_dict(g)
+    touched = _edit(kind, new_rules, t)
+    grammar = _to_grammar(new_rules)
+    report = validate_grammar(grammar)
+    if not report.structural_ok:
+        raise MutationTargetError(
+            f"mutation {int(kind)} gave an invalid grammar "
+            f"({report.structural_violations[0]}): the input grammar is "
+            f"not structurally valid")
+    return MutationOutcome(kind, grammar, tuple(touched), attempts)
 
 
 def random_mutation(

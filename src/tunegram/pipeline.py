@@ -2,9 +2,9 @@
 
 A run starts from a tune, freezes its alphabet, and then iterates:
 induce a grammar, apply one random mutation, expand back to a tune,
-and (by default) reparse so the next mutation sees a canonical
-grammar.  Each step logs edit distance against the original and the
-previous tune, the tune length, and the PAI of the reparsed tune.
+and reparse so the next mutation sees a canonical grammar.  Each step
+logs edit distance against the original and the previous tune, the
+tune length, and the PAI of the reparsed tune.
 """
 
 from __future__ import annotations
@@ -45,18 +45,13 @@ class StepFailedError(TunegramError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Settings for one mutation run.
-
-    ``reparse_each_step`` mirrors the loop described alongside the
-    operators: every mutation is followed by expand + reparse.  Setting
-    it to False mutates one grammar in place across steps (an ablation
-    mode; recorded PAI is still that of the reparsed tune).
-    """
+    """Settings for one mutation run: the number of steps, the seed and
+    the kinds left out of the random draw.  Every step is followed by
+    expand and reparse, as in the paper's loop."""
 
     steps: int
     seed: int
     excluded: frozenset[MutationKind] = DEFAULT_EXCLUDED
-    reparse_each_step: bool = True
 
     def __post_init__(self) -> None:
         if self.steps < 1:
@@ -108,18 +103,17 @@ def run(
         except TunegramError as exc:
             raise StepFailedError(step_no, exc) from exc
         new_tune = expand(outcome.grammar)
-        reparsed = induce(new_tune)
+        grammar = induce(new_tune)
         records.append(TrajectoryRecord(
             step=step_no,
             kind=outcome.kind,
             ed_vs_original=levenshtein(original, new_tune),
             ed_vs_previous=levenshtein(current, new_tune),
             length=len(new_tune),
-            pai=pai(reparsed),
+            pai=pai(grammar),
         ))
         kinds.append(outcome.kind)
         current = new_tune
-        grammar = reparsed if cfg.reparse_each_step else outcome.grammar
     return RunResult(original, current, tuple(records), tuple(kinds))
 
 

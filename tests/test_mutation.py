@@ -15,6 +15,7 @@ from tunegram.model import (
     NoteAlphabet,
     RuleRef,
     Terminal,
+    TunegramError,
     render_grammar,
     validate_grammar,
 )
@@ -314,6 +315,11 @@ def test_applicable_on_deep_rule_chain():
     g = gram(mapping)
     for kind in (1, 4, 14):
         assert isinstance(applicable(g, kind), bool)
+    # Every pair of rules is linked by reachability, so no definition
+    # swap fits; counting reachable pairs answers without a pair scan.
+    t0 = time.perf_counter()
+    assert applicable(g, 17) is False
+    assert time.perf_counter() - t0 < 0.5
 
 
 def test_pair_kinds_on_deep_rule_chain_are_fast():
@@ -335,9 +341,8 @@ def test_pair_kinds_on_deep_rule_chain_are_fast():
 
 def test_fits_matches_operator_and_validation():
     # On small grammars from mutation chains without reparse, a target
-    # fits iff the operator accepts it and the result validates.  Kinds
-    # 7 and 18 are left out: their targets carry alphabet values and
-    # drawn bodies, and applicable() does not enumerate them.
+    # fits iff its edit on a copy gives a grammar that validates, and a
+    # kind is applicable iff one of its targets fits.
     rnd = random.Random(2024)
     checked = 0
     for chain in range(12):
@@ -350,17 +355,81 @@ def test_fits_matches_operator_and_validation():
             rules = mutation_module._rules_dict(g)
             reach = functools.cache(lambda: mutation_module._reach_sets(rules))
             for kind in MutationKind:
-                if int(kind) in (7, 18):
-                    continue
-                op = mutation_module._OPERATORS[kind]
-                for t in mutation_module._targets(kind, rules, a, None):
-                    result = op(mutation_module._rules_dict(g), a, None, t)
-                    valid = result is not None and validate_grammar(
-                        mutation_module._to_grammar(result[0])).structural_ok
-                    assert mutation_module._fits(kind, rules, t, reach) \
-                        == valid, (kind, t, render_grammar(g))
+                fits = []
+                for t in mutation_module._targets(kind, rules, a,
+                                                  RandomSource(checked)):
+                    copy = mutation_module._rules_dict(g)
+                    valid = mutation_module._edit(kind, copy, t) is not None \
+                        and validate_grammar(
+                            mutation_module._to_grammar(copy)).structural_ok
+                    fits.append(mutation_module._fits(kind, rules, t, reach))
+                    assert fits[-1] == valid, (kind, t, render_grammar(g))
                     checked += 1
+                assert applicable(g, kind) == any(fits), (kind, render_grammar(g))
     assert checked > 10_000
+
+
+def test_forced_symmetric_swaps_are_order_free():
+    # Swapping a with b is swapping b with a: both orders of every target
+    # give the same grammar, or are both rejected.
+    for g in (induce(HORNPIPE), gram({0: ["p1", "p2", 7], 1: [1, 2],
+                                      2: ["p3", 5], 3: [8, 9]})):
+        a = alpha(g)
+        rules = {r.rule_id: r.rhs for r in g}
+        for kind in (5, 6, 11, 12, 17):
+            for t in mutation_module._targets(MutationKind(kind), rules, a,
+                                              None):
+                rev = (t[0], t[2], t[1]) if kind in (5, 11) else \
+                    t[2:] + t[:2] if kind in (6, 12) else t[::-1]
+                outs = []
+                for tt in (t, rev):
+                    try:
+                        outs.append(apply_mutation(g, kind, a, RandomSource(0),
+                                                   targets=tt).grammar)
+                    except MutationTargetError:
+                        outs.append(None)
+                assert outs[0] == outs[1], (kind, t)
+
+
+@pytest.mark.parametrize("mapping", [
+    {0: ["p1", 5], 1: [1, "p2"], 2: ["p1", 3]},    # cycle p1 -> p2 -> p1
+    {0: [1, "p5", 2, "p1"], 1: [3, 4]},            # dangling reference
+    {0: [1, "p1"], 1: []},                         # empty rhs
+], ids=["cycle", "dangling", "empty-rhs"])
+def test_invalid_input_raises_or_gives_a_valid_grammar(mapping):
+    g = gram(mapping)
+    a = NoteAlphabet((1, 2, 3, 4, 5))
+    for kind in MutationKind:
+        for seed in range(6):
+            try:
+                out = apply_mutation(g, kind, a, RandomSource(seed))
+            except TunegramError:
+                continue
+            assert validate_grammar(out.grammar).structural_ok
+
+
+def test_reverse_span_draw_unranks_the_span_list():
+    # The draw unranks its index into the length-major list of (start,
+    # length) spans, so it must pick what rng.choose on that list picks.
+    a = NoteAlphabet((1,))
+    for n in range(3, 41):
+        rules = {0: [Terminal(1)] * n}
+        for seed in range(8):
+            rng = RandomSource(seed)
+            host = rng.choose([0])
+            spans = [(s, ln) for ln in range(2, n) for s in range(n - ln + 1)]
+            assert mutation_module._draw(
+                MutationKind.REVERSE_SPAN, rules, a, RandomSource(seed)) \
+                == (host, *rng.choose(spans))
+
+
+def test_reverse_span_on_a_long_flat_rule_is_fast():
+    # The span list of a 3,000-symbol rule holds 4.5 million spans.
+    g = gram({0: [i % 12 for i in range(3000)]})
+    t0 = time.perf_counter()
+    out = apply_mutation(g, 16, alpha(g), RandomSource(1))
+    assert time.perf_counter() - t0 < 0.1
+    assert out.attempts == 1
 
 
 def test_apply_raises_when_inapplicable():

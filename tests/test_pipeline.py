@@ -35,7 +35,6 @@ HORNPIPE_SWAPPED = (2, 11, 7, 2, 1, 2, 7, 2, 1, 2, 7, 11, 4, 4, 9, 6, 2, 2,
 def test_config_defaults():
     cfg = RunConfig(steps=10, seed=3)
     assert cfg.excluded == DEFAULT_EXCLUDED == {MutationKind.ADD_RULE}
-    assert cfg.reparse_each_step is True
 
 
 def test_config_normalizes_int_kinds():
@@ -137,13 +136,6 @@ def test_run_alphabet_is_frozen_from_original(mini_corpus):
     original = mini_corpus[5].tune
     result = run(original, RunConfig(steps=80, seed=99))
     assert set(result.final) <= set(original)
-
-
-def test_run_without_reparse_smoke():
-    cfg = RunConfig(steps=20, seed=13, reparse_each_step=False)
-    result = run(HORNPIPE, cfg)
-    assert len(result.trajectory) == 20
-    assert len(result.final) >= 1
 
 
 def test_run_empty_tune():
