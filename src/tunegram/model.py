@@ -5,11 +5,15 @@ context-free grammar over those integers: rule 0 is the start rule and
 every other rule must be referenced at least twice for the grammar to be
 in canonical (Sequitur) form.  Everything here is immutable; mutation
 operators build new grammars rather than editing in place.
+
+:func:`postorder` is the one walk of the reference graph; validation,
+expansion and the mutation layer's reachability sets are built on it.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -205,20 +209,79 @@ def parse_grammar(text: str) -> Grammar:
 
 
 # ---------------------------------------------------------------------------
-# validation
+# the reference graph and validation
 
 
-@dataclass(frozen=True)
+def postorder(rules: Mapping[int, Sequence[Symbol]],
+              starts: Iterable[int]) -> tuple[list[int], list[int] | None]:
+    """Every rule reachable from ``starts``, each once, after the rules it
+    references (depth first, in rhs order), and the first cycle met as a
+    closed path ``[x, ..., x]``, or None.  References to missing rules and
+    back edges (those that close a cycle) are skipped, so the walk ends
+    on any input; it is iterative, so chains of any depth are fine."""
+    order: list[int] = []
+    cycle: list[int] | None = None
+    on_path: dict[int, bool] = {}  # rule -> still on the path; done if False
+    for start in starts:
+        if start in on_path or start not in rules:
+            continue
+        path, rhs_iters = [start], [iter(rules[start])]
+        on_path[start] = True
+        while path:
+            for sym in rhs_iters[-1]:
+                if not isinstance(sym, RuleRef) or sym.rule_id not in rules:
+                    continue
+                child = sym.rule_id
+                if child not in on_path:
+                    on_path[child] = True
+                    path.append(child)
+                    rhs_iters.append(iter(rules[child]))
+                    break  # descend; this rhs resumes after the child
+                if on_path[child] and cycle is None:
+                    cycle = path[path.index(child):] + [child]
+            else:
+                on_path[path[-1]] = False
+                order.append(path.pop())
+                rhs_iters.pop()
+    return order, cycle
+
+
+@dataclass(frozen=True, eq=False)
 class ValidationReport:
     """Outcome of :func:`validate_grammar`.
 
     Structural problems make a grammar unusable (it cannot be expanded);
     canonicality problems only mean it is not in Sequitur normal form,
-    which is the expected state for freshly mutated grammars.
+    which is the expected state for freshly mutated grammars.  The
+    canonical half is computed on first read; reports compare by both.
     """
 
     structural_violations: tuple[str, ...]
-    canonical_violations: tuple[str, ...]
+    grammar: Grammar
+
+    @functools.cached_property
+    def canonical_violations(self) -> tuple[str, ...]:
+        canonical: list[str] = []
+        for (a, b), places in digram_census(self.grammar).items():
+            if len(places) < 2:
+                continue
+            # Overlapping occurrences of an equal-halves digram (x x inside
+            # x x x) are the one sanctioned repeat.  Three places always hold
+            # a pair that does not overlap (no three indices are pairwise
+            # adjacent), so only a lone pair can be the sanctioned one.
+            if len(places) > 2 or not (
+                    a == b and places[0][0] == places[1][0]
+                    and abs(places[0][1] - places[1][1]) == 1):
+                where = ", ".join(f"p{r}@{i}" for r, i in places)
+                canonical.append(
+                    f"digram {format_symbol(a)} {format_symbol(b)} repeats at {where}")
+
+        counts = reference_counts(self.grammar)
+        for rule in self.grammar:
+            if rule.rule_id != ROOT_ID and counts[rule.rule_id] < 2:
+                canonical.append(
+                    f"rule p{rule.rule_id} is referenced {counts[rule.rule_id]} time(s)")
+        return tuple(canonical)
 
     @property
     def structural_ok(self) -> bool:
@@ -232,40 +295,17 @@ class ValidationReport:
     def ok(self) -> bool:
         return self.structural_ok and self.canonical_ok
 
+    def _key(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        return self.structural_violations, self.canonical_violations
 
-def _find_cycle(g: Grammar) -> list[int] | None:
-    """Return one cycle through the reference relation, or None."""
-    WHITE, GREY, BLACK = 0, 1, 2
-    colour = {r.rule_id: WHITE for r in g}
-    for start in colour:
-        if colour[start] != WHITE:
-            continue
-        stack: list[tuple[int, Iterator[int]]] = [(start, _ref_iter(g, start))]
-        colour[start] = GREY
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if nxt not in colour:
-                    continue  # dangling ref, reported separately
-                if colour[nxt] == GREY:
-                    path = [frame[0] for frame in stack]
-                    return path[path.index(nxt):] + [nxt]
-                if colour[nxt] == WHITE:
-                    colour[nxt] = GREY
-                    stack.append((nxt, _ref_iter(g, nxt)))
-                    advanced = True
-                    break
-            if not advanced:
-                colour[node] = BLACK
-                stack.pop()
-    return None
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, ValidationReport) and self._key() == other._key()
 
+    def __hash__(self) -> int:
+        return hash(self._key())
 
-def _ref_iter(g: Grammar, rule_id: int) -> Iterator[int]:
-    for sym in g.rule(rule_id).rhs:
-        if isinstance(sym, RuleRef):
-            yield sym.rule_id
+    def __repr__(self) -> str:
+        return "ValidationReport(structural_violations=%r, canonical_violations=%r)" % self._key()
 
 
 def digram_census(g: Grammar) -> dict[tuple[Symbol, Symbol], list[tuple[int, int]]]:
@@ -286,49 +326,24 @@ def validate_grammar(g: Grammar) -> ValidationReport:
     Canonical (Sequitur invariants): no digram occurs twice, except that
     overlapping occurrences of a digram with equal halves (as in
     ``4 4 4``) do not count as repeats; and every rule besides the root
-    is referenced at least twice.
+    is referenced at least twice; computed when first read.
     """
     structural: list[str] = []
-    canonical: list[str] = []
-
-    if ROOT_ID not in g:
+    rules = {rule.rule_id: rule.rhs for rule in g}
+    if ROOT_ID not in rules:
         structural.append("missing root rule p0")
-    for rule in g:
-        if not rule.rhs:
-            structural.append(f"rule p{rule.rule_id} has an empty rhs")
-    known = set(g.rule_ids())
-    for rule in g:
-        for sym in rule.rhs:
-            if isinstance(sym, RuleRef) and sym.rule_id not in known:
+    for rule_id, rhs in rules.items():
+        if not rhs:
+            structural.append(f"rule p{rule_id} has an empty rhs")
+    for rule_id, rhs in rules.items():
+        for sym in rhs:
+            if isinstance(sym, RuleRef) and sym.rule_id not in rules:
                 structural.append(
-                    f"rule p{rule.rule_id} references missing rule p{sym.rule_id}")
-    cycle = _find_cycle(g)
+                    f"rule p{rule_id} references missing rule p{sym.rule_id}")
+    cycle = postorder(rules, rules)[1]
     if cycle is not None:
         structural.append("reference cycle: " + " -> ".join(f"p{i}" for i in cycle))
-
-    for (a, b), places in digram_census(g).items():
-        if len(places) < 2:
-            continue
-        # Overlapping occurrences of an equal-halves digram (x x inside
-        # x x x) are the one sanctioned repeat.  Three places always hold
-        # a pair that does not overlap (no three indices are pairwise
-        # adjacent), so only a lone pair can be the sanctioned one.
-        if len(places) > 2 or not (
-                a == b and places[0][0] == places[1][0]
-                and abs(places[0][1] - places[1][1]) == 1):
-            where = ", ".join(f"p{r}@{i}" for r, i in places)
-            canonical.append(
-                f"digram {format_symbol(a)} {format_symbol(b)} repeats at {where}")
-
-    counts = reference_counts(g)
-    for rule in g:
-        if rule.rule_id == ROOT_ID:
-            continue
-        if counts[rule.rule_id] < 2:
-            canonical.append(
-                f"rule p{rule.rule_id} is referenced {counts[rule.rule_id]} time(s)")
-
-    return ValidationReport(tuple(structural), tuple(canonical))
+    return ValidationReport(tuple(structural), g)
 
 
 # ---------------------------------------------------------------------------

@@ -29,10 +29,12 @@ edit there can only fail by closing a reference cycle or by purging the
 root, since every source rules out an emptied rhs.  ``_new_edges``
 lists the references a target adds, and ``_fits`` accepts it iff no
 added reference ``x -> c`` has ``c`` equal to ``x`` or reaching ``x``
-in the grammar before the edit.  A kind is applicable iff some target
-fits.  Only the accepted target is applied by ``_edit``, and the
-result goes through ``validate_grammar``'s structural check once, as a
-safety net against structurally invalid input.
+in the grammar before the edit (``_reach_sets``, a fold over
+:func:`~tunegram.model.postorder`).  A kind is applicable iff some
+target fits; kinds 6 and 17 count their failing pairs instead of
+scanning them.  Only the accepted target is applied by ``_edit``, and
+the result goes through ``validate_grammar``'s structural check once,
+as a safety net against structurally invalid input.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ from .model import (
     Symbol,
     Terminal,
     TunegramError,
+    postorder,
     validate_grammar,
 )
 
@@ -202,31 +205,16 @@ def _term_occurrences(rules: _Rules) -> list[tuple[int, int]]:
 
 def _reach_sets(rules: Mapping[int, Sequence[Symbol]]) -> dict[int, set[int]]:
     """reach[x] = every rule reachable from x through one or more
-    references.  Assumes the input is acyclic (callers hold the
-    structural-validity precondition).  Iterative depth-first search, so
-    a rule chain of any depth is fine; a cycle ends the walk instead of
-    looping."""
-    children = {x: {s.rule_id for s in rhs
-                    if isinstance(s, RuleRef) and s.rule_id in rules}
-                for x, rhs in rules.items()}
+    references: a fold over :func:`~tunegram.model.postorder`, so a rule
+    chain of any depth is fine.  Exact on acyclic input (callers hold the
+    structural-validity precondition); on cyclic input the walk skips
+    the references that close a cycle, so the sets come out partial
+    instead of the fold looping."""
     reach: dict[int, set[int]] = {}
-    entered: set[int] = set()
-    for start in rules:
-        stack = [start]
-        while stack:
-            x = stack[-1]
-            if x not in entered:
-                # First visit: descend; x is finished on the second.
-                entered.add(x)
-                stack.extend(c for c in children[x] if c not in entered)
-                continue
-            stack.pop()
-            if x in reach:
-                continue
-            out = set(children[x])
-            for c in children[x]:
-                out.update(reach.get(c, ()))
-            reach[x] = out
+    for x in postorder(rules, rules)[0]:
+        children = {s.rule_id for s in rules[x]
+                    if isinstance(s, RuleRef) and s.rule_id in rules}
+        reach[x] = children.union(*(reach.get(c, ()) for c in children))
     return reach
 
 
@@ -352,9 +340,12 @@ def _is_target(kind, rules, alphabet, t) -> bool:
     exist, of the kind's symbol types, in distinct rules where the kind
     needs two, leaves no rhs empty, and (kind 7) inserts a note of the
     alphabet.  Whether its edit would close a cycle is :func:`_fits`'s
-    question.  Constant time for every kind but 18, whose body is read."""
+    question.  Constant time for every kind but 18, whose body is read.
+    A target of the wrong shape may raise TypeError or ValueError."""
     k = int(kind)
     typ = RuleRef if k <= 6 else Terminal
+    if not all(isinstance(x, int) for x in (t[:-1] if k == 18 else t)):
+        return False
 
     def at(h, i, want):  # (h, i) holds a symbol of type want
         return h in rules and 0 <= i < len(rules[h]) \
@@ -405,7 +396,8 @@ def _is_target(kind, rules, alphabet, t) -> bool:
     if k == 18:
         host, index, body = t
         return gap(host, index) and len(body) > 0 and all(
-            s.rule_id in rules for s in body if isinstance(s, RuleRef))
+            isinstance(s, Terminal) or isinstance(s, RuleRef)
+            and s.rule_id in rules for s in body)
     (target,) = t  # kind 19
     return target in rules and target != ROOT_ID
 
@@ -600,12 +592,32 @@ def _candidates(kind, rules, alphabet, rng):
 
 def applicable(g: Grammar, kind: MutationKind) -> bool:
     """True iff some concrete choice of targets lets apply_mutation
-    succeed: some target of the kind fits (see :func:`_fits`)."""
+    succeed: some target of the kind fits (see :func:`_fits`).  Kinds 6
+    and 17 count their failing pairs instead, exact on acyclic input."""
     kind = MutationKind(kind)
     if kind in (MutationKind.ADD_NOTE, MutationKind.ADD_RULE):
         return True  # an insertion under the root always fits
     rules = {r.rule_id: r.rhs for r in g}  # read only: no rhs copies
     reach = functools.cache(lambda: _reach_sets(rules))
+    if kind == MutationKind.SWAP_RULE_REFS_ACROSS:
+        occs = _ref_occurrences(rules)
+        own = dict.fromkeys(rules, 0)  # references hosted per rule
+        host_of: dict[int, int] = {}
+        for h, _, r in occs:
+            own[h] += 1
+            if host_of.setdefault(r, h) != h:
+                return True  # swapping two references to r adds none
+        # Now the two referents of a pair across hosts differ, and the
+        # pair fails iff one is the other's host or reaches it; both ways
+        # would close a cycle, so at most one way holds.  An occurrence of
+        # r thus fails with exactly the weight[r] references hosted in r
+        # or in a rule r reaches, and some pair fits iff the pairs across
+        # hosts outnumber the failing ones.
+        weight = {r: own[r] + sum(map(own.__getitem__, reach()[r]))
+                  for r in host_of if r in rules}
+        n = len(occs)
+        cross = n * (n - 1) // 2 - sum(m * (m - 1) // 2 for m in own.values())
+        return cross > sum(weight.get(r, 0) for _, _, r in occs)
     if kind == MutationKind.SWAP_DEFINITIONS:
         # Acyclic: each unordered pair of rules is reachable one way at
         # most, so the reachable pairs number sum(|reach[x]|), and some
@@ -667,8 +679,11 @@ def apply_mutation(
     rules = {r.rule_id: r.rhs for r in g}  # read only: no rhs copies
     reach = functools.cache(lambda: _reach_sets(rules))
     if targets is not None:
-        found = [(1, targets)] if _is_target(kind, rules, alphabet, targets) \
-            else []
+        try:
+            usable = _is_target(kind, rules, alphabet, targets)
+        except (TypeError, ValueError):  # wrong shape or slot type
+            usable = False
+        found = [(1, targets)] if usable else []
     else:
         found = _candidates(kind, rules, alphabet, rng)
     for attempts, t in found:

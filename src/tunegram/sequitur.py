@@ -31,6 +31,7 @@ from .model import (
     Tune,
     TuneTooShortError,
     UnknownRuleError,
+    postorder,
 )
 
 __all__ = [
@@ -252,44 +253,33 @@ def induce(tune: Sequence[int]) -> Grammar:
 
 
 def expand_rule(g: Grammar, rule_id: int) -> Tune:
-    """The terminal sequence a single rule unrolls to."""
+    """The terminal sequence a single rule unrolls to.
+
+    A fold over :func:`~tunegram.model.postorder`, so each reachable
+    rule is expanded once, after the rules it references.  The first
+    fault met in that order is raised: an empty rhs, a missing rule
+    (UnknownRuleError), or a cycle (a reference not yet expanded).
+    """
     if rule_id not in g:
         raise UnknownRuleError(f"no rule with id {rule_id}")
+    rules = {rule.rule_id: rule.rhs for rule in g}
     memo: dict[int, Tune] = {}
-    IN_PROGRESS, DONE = 1, 2
-    state: dict[int, int] = {}
-    stack = [rule_id]
-    while stack:
-        rid = stack[-1]
-        if state.get(rid) == DONE:
-            stack.pop()
-            continue
-        rule = g.rule(rid)
-        if not rule.rhs:
+    for rid in postorder(rules, (rule_id,))[0]:
+        if not rules[rid]:
             raise GrammarStructureError(f"rule p{rid} has an empty rhs")
-        if state.get(rid) is None:
-            state[rid] = IN_PROGRESS
-            for sym in reversed(rule.rhs):
-                if isinstance(sym, RuleRef):
-                    child = sym.rule_id
-                    if child not in g:
-                        raise UnknownRuleError(
-                            f"rule p{rid} references missing rule p{child}")
-                    if state.get(child) == IN_PROGRESS:
-                        raise GrammarStructureError(
-                            f"reference cycle through p{child}")
-                    if state.get(child) != DONE:
-                        stack.append(child)
-        else:
-            parts: list[int] = []
-            for sym in rule.rhs:
-                if isinstance(sym, Terminal):
-                    parts.append(sym.value)
-                else:
-                    parts.extend(memo[sym.rule_id])
-            memo[rid] = tuple(parts)
-            state[rid] = DONE
-            stack.pop()
+        parts: list[int] = []
+        for sym in rules[rid]:
+            if isinstance(sym, Terminal):
+                parts.append(sym.value)
+            elif sym.rule_id in memo:
+                parts.extend(memo[sym.rule_id])
+            elif sym.rule_id in rules:
+                raise GrammarStructureError(
+                    f"reference cycle through p{sym.rule_id}")
+            else:
+                raise UnknownRuleError(
+                    f"rule p{rid} references missing rule p{sym.rule_id}")
+        memo[rid] = tuple(parts)
     return memo[rule_id]
 
 

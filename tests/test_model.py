@@ -1,9 +1,13 @@
-"""Grammar value types, rendering, and validity reporting."""
+"""Grammar value types, rendering, the reference-graph walk and validity
+reporting."""
 
 import time
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
+import tunegram.model as model_module
 from tunegram.model import (
     Grammar,
     MutationKind,
@@ -13,6 +17,7 @@ from tunegram.model import (
     Terminal,
     format_symbol,
     parse_grammar,
+    postorder,
     reference_counts,
     render_grammar,
     validate_grammar,
@@ -115,6 +120,64 @@ def test_parse_grammar_rejects(text):
 
 
 # ---------------------------------------------------------------------------
+# the reference-graph walk
+
+
+def _reaches(rules, a, b):
+    """Brute force: b is reachable from a through one or more references."""
+    seen, todo = set(), [a]
+    while todo:
+        x = todo.pop()
+        for s in rules[x]:
+            c = s.rule_id if isinstance(s, RuleRef) else None
+            if c in rules and c not in seen:
+                seen.add(c)
+                todo.append(c)
+    return b in seen
+
+
+# Rules 0..n-1 whose references may point anywhere in 0..n+1: so some
+# rules are unreachable, some references dangle, and some close cycles.
+rule_maps = st.integers(1, 8).flatmap(lambda n: st.dictionaries(
+    st.integers(0, n - 1),
+    st.lists(st.one_of(st.integers(0, n + 1).map(RuleRef),
+                       st.integers(0, 3).map(Terminal)), max_size=5),
+    min_size=1))
+
+
+@given(rule_maps, st.lists(st.integers(0, 9), max_size=4))
+@settings(max_examples=400, deadline=None)
+def test_postorder_lists_children_first_and_finds_cycles(rules, starts):
+    order, cycle = postorder(rules, starts)
+    live = {x for x in starts if x in rules}
+    assert len(order) == len(set(order))
+    assert set(order) == live | {y for y in rules for x in live
+                                 if _reaches(rules, x, y)}
+    place = {x: i for i, x in enumerate(order)}
+    for x in order:
+        for s in rules[x]:
+            if isinstance(s, RuleRef) and s.rule_id in rules:
+                # listed before x, unless the reference closes a cycle
+                assert place[s.rule_id] < place[x] \
+                    or _reaches(rules, s.rule_id, x)
+    assert (cycle is not None) == any(_reaches(rules, x, x) for x in order)
+    if cycle is not None:
+        assert len(cycle) >= 2 and cycle[0] == cycle[-1]
+        for a, b in zip(cycle, cycle[1:]):
+            assert RuleRef(b) in rules[a]
+
+
+def test_postorder_on_a_deep_chain_is_iterative():
+    rules = {i: (RuleRef(i + 1), Terminal(i)) for i in range(5000)}
+    rules[5000] = (Terminal(0),)
+    order, cycle = postorder(rules, [0])
+    assert order == list(range(5000, -1, -1)) and cycle is None
+    rules[5000] = (RuleRef(0),)
+    order, cycle = postorder(rules, [0])
+    assert cycle == list(range(5001)) + [0]
+
+
+# ---------------------------------------------------------------------------
 # validation
 
 
@@ -149,6 +212,42 @@ def test_dangling_reference_is_structural():
     report = validate_grammar(Grammar.from_mapping({0: ["p5", 1]}))
     assert not report.structural_ok
     assert any("missing rule p5" in v for v in report.structural_violations)
+
+
+def test_cycle_and_dangling_reference_messages():
+    g = Grammar.from_mapping(
+        {0: ["p1", 3, "p1"], 1: ["p2", "p7"], 2: ["p3", 4], 3: ["p1", 5]})
+    report = validate_grammar(g)
+    assert report.structural_violations == (
+        "rule p1 references missing rule p7",
+        "reference cycle: p1 -> p2 -> p3 -> p1",
+    )
+    assert report.canonical_violations == (
+        "rule p2 is referenced 1 time(s)",
+        "rule p3 is referenced 1 time(s)",
+    )
+
+
+def test_structural_ok_never_computes_the_canonical_half(monkeypatch):
+    def forbidden(g):
+        raise AssertionError("canonical half computed")
+
+    monkeypatch.setattr(model_module, "digram_census", forbidden)
+    monkeypatch.setattr(model_module, "reference_counts", forbidden)
+    reports = [validate_grammar(Grammar.from_mapping(mapping))
+               for mapping in ({0: [1, 2, 1, 2]}, {0: ["p1", "p1"], 1: ["p1"]})]
+    assert [r.structural_ok for r in reports] == [True, False]
+    with pytest.raises(AssertionError, match="canonical half computed"):
+        reports[0].canonical_violations
+
+
+def test_reports_compare_by_both_halves():
+    same = validate_grammar(Grammar.from_mapping({0: [1, 2, 1, 2]}))
+    again = validate_grammar(Grammar.from_mapping({0: [1, 2, 1, 2]}))
+    other = validate_grammar(Grammar.from_mapping({0: [1, 2, 3, 4]}))
+    assert same.structural_violations == other.structural_violations == ()
+    assert same != other and not same.canonical_ok and other.canonical_ok
+    assert same == again and hash(same) == hash(again)
 
 
 def test_repeated_digram_breaks_canonicality_only():

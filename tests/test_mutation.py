@@ -265,6 +265,20 @@ def test_forced_targets_out_of_range(crafted):
                        targets=(0, 0, 999))  # value outside the alphabet
 
 
+@pytest.mark.parametrize("kind,targets", [
+    (1, (1, 0)),                    # one slot short
+    (19, (1, 2)),                   # one slot too many
+    (18, (0, 0, None)),             # a body that is not a sequence
+    (3, (0, 0, "x")),               # a position that is not an int
+    (3, (0, 0, 1.0)),
+    (18, (0, 0, (1, 2))),           # a body of plain ints, not symbols
+], ids=["short", "long", "no-body", "str-index", "float-index", "int-body"])
+def test_forced_targets_of_wrong_shape_or_type(crafted, kind, targets):
+    with pytest.raises(MutationTargetError):
+        apply_mutation(crafted, kind, alpha(crafted), RandomSource(0),
+                       targets=targets)
+
+
 def test_definition_swap_with_root_always_cycles():
     g = induce(HORNPIPE)
     a = NoteAlphabet.from_tune(HORNPIPE)
@@ -319,6 +333,12 @@ def test_applicable_on_deep_rule_chain():
     # swap fits; counting reachable pairs answers without a pair scan.
     t0 = time.perf_counter()
     assert applicable(g, 17) is False
+    assert time.perf_counter() - t0 < 0.5
+    # No rule is referenced from two hosts, so every reference swap across
+    # hosts adds a reference; counting, per referent, the references it
+    # would reach answers without a pair scan too.
+    t0 = time.perf_counter()
+    assert applicable(g, 6) is False
     assert time.perf_counter() - t0 < 0.5
 
 

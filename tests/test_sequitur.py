@@ -122,6 +122,18 @@ def test_expand_rule_errors():
         expand(dangling)
 
 
+def test_expand_raises_the_first_fault_in_expansion_order():
+    # Rules expand after the rules they reference: p2 comes first and
+    # closes the cycle through p1 before p1's dangling p9 is met.
+    g = Grammar.from_mapping({0: ["p1"], 1: ["p2", "p9"], 2: ["p1", 5]})
+    with pytest.raises(GrammarStructureError, match="cycle through p1"):
+        expand(g)
+    # Here p2, with its dangling p9, expands before p1 and its self-loop.
+    g = Grammar.from_mapping({0: ["p2", "p1"], 1: ["p1", 5], 2: ["p9", 4]})
+    with pytest.raises(UnknownRuleError, match="missing rule p9"):
+        expand(g)
+
+
 def test_expand_deep_grammar_is_iterative():
     # a 3000-rule reference chain would blow the recursion limit if
     # expansion recursed
