@@ -9,7 +9,6 @@ across ``--workers`` settings.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Iterable, Sequence
@@ -23,20 +22,6 @@ from .pipeline import RunConfig, run, run_per_kind
 from .sequitur import induce, pai, to_intervals
 
 TRAJECTORY_HEADER = "step,kind,ed_vs_original,ed_vs_previous,length,pai"
-
-
-def _resolve_seed(value: int | None) -> int:
-    """--seed if given, else TUNEGRAM_SEED from the environment, else 0."""
-    if value is not None:
-        return value
-    env = os.environ.get("TUNEGRAM_SEED")
-    if env is None:
-        return 0
-    try:
-        return int(env)
-    except ValueError:
-        raise TunegramError(
-            f"TUNEGRAM_SEED must be an integer, got {env!r}") from None
 
 
 def _parse_excluded(text: str) -> frozenset[MutationKind]:
@@ -78,8 +63,7 @@ def _cmd_pai(args: argparse.Namespace) -> int:
 
 def _cmd_mutate(args: argparse.Namespace) -> int:
     t = _load_tune(args.tune_file)
-    seed = _resolve_seed(args.seed)
-    cfg = RunConfig(steps=args.steps, seed=seed,
+    cfg = RunConfig(steps=args.steps, seed=args.seed,
                     excluded=_parse_excluded(args.exclude))
     kind = MutationKind.parse(args.kind) if args.kind is not None else None
     result = run(t, cfg, kind=kind)
@@ -106,12 +90,14 @@ def _cmd_ed(args: argparse.Namespace) -> int:
 # Worker functions take one picklable tuple and return plain values so
 # they can cross a process boundary.  Results come back via pool.map,
 # which preserves submission order, so the CSV is written in corpus
-# order no matter how many workers ran.
+# order no matter how many workers ran.  The pool is never larger than
+# the job list: with the fork start method every worker process is
+# started on the first submit, whether or not it gets a job.
 
 def _map_jobs(fn: Callable, jobs: list, workers: int) -> list:
     if workers <= 1 or len(jobs) <= 1:
         return [fn(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
         return list(pool.map(fn, jobs))
 
 
@@ -123,8 +109,7 @@ def _per_kind_job(job: tuple[Tune, int]) -> list[tuple[int, int]]:
 
 def _cmd_per_kind(args: argparse.Namespace) -> int:
     tunes = load_corpus(args.corpus)
-    seed = _resolve_seed(args.seed)
-    jobs = [(ct.tune, derive_seed(seed, i)) for i, ct in enumerate(tunes)]
+    jobs = [(ct.tune, derive_seed(args.seed, i)) for i, ct in enumerate(tunes)]
     results = _map_jobs(_per_kind_job, jobs, args.workers)
     rows = [(ct.id, kind, ed)
             for ct, pairs in zip(tunes, results)
@@ -143,9 +128,8 @@ def _trajectory_job(job: tuple[Tune, int, int, tuple[int, ...]]) -> list[tuple]:
 
 def _cmd_trajectories(args: argparse.Namespace) -> int:
     tunes = load_corpus(args.corpus)
-    seed = _resolve_seed(args.seed)
     excluded = tuple(sorted(int(k) for k in _parse_excluded(args.exclude)))
-    jobs = [(ct.tune, args.steps, derive_seed(seed, i), excluded)
+    jobs = [(ct.tune, args.steps, derive_seed(args.seed, i), excluded)
             for i, ct in enumerate(tunes)]
     results = _map_jobs(_trajectory_job, jobs, args.workers)
     rows = [(ct.id, *step_row)
@@ -189,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mutate", help="run the mutation pipeline on a tune")
     p.add_argument("tune_file")
     p.add_argument("--steps", type=int, default=1)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--exclude", default="18", metavar="KINDS",
                    help="comma-separated kinds to skip (default 18; 'none')")
     p.add_argument("--kind", default=None,
@@ -211,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = esub.add_parser("per-kind",
                         help="one mutation of each kind per tune")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=_cmd_per_kind)
@@ -220,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="multi-step mutation runs per tune")
     p.add_argument("--corpus", required=True)
     p.add_argument("--steps", type=int, default=100)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--exclude", default="18", metavar="KINDS")
     p.add_argument("--out", required=True)
     p.add_argument("--workers", type=int, default=1)

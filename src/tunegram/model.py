@@ -6,8 +6,10 @@ every other rule must be referenced at least twice for the grammar to be
 in canonical (Sequitur) form.  Everything here is immutable; mutation
 operators build new grammars rather than editing in place.
 
-:func:`postorder` is the one walk of the reference graph; validation,
-expansion and the mutation layer's reachability sets are built on it.
+A :class:`Grammar` owns its lookup table (``rhs``) and its reachability
+sets (``reach``, computed once, on first read).  :func:`postorder` is
+the one walk of the reference graph; validation, expansion and
+``reach`` are built on it.
 """
 
 from __future__ import annotations
@@ -92,24 +94,27 @@ class Rule:
 class Grammar:
     """An immutable set of rules indexed by id, with rule 0 as the root.
 
-    ``rules`` is stored sorted by id.  Use :func:`validate_grammar` to
-    check structural validity and canonicality; the constructor only
-    rejects duplicate ids so that invalid intermediate grammars can
-    still be represented (mutation candidates are validated separately).
+    ``rules`` is stored sorted by id, and ``rhs`` maps each rule id to
+    its rhs, in the same order; treat it as read-only.  Use
+    :func:`validate_grammar` to check structural validity and
+    canonicality; the constructor only rejects duplicate ids so that
+    invalid intermediate grammars can still be represented (mutation
+    candidates are validated separately).
     """
 
     rules: tuple[Rule, ...]
-    _by_id: dict[int, Rule] = field(init=False, repr=False, compare=False)
+    rhs: dict[int, tuple[Symbol, ...]] = field(init=False, repr=False,
+                                               compare=False)
 
     def __post_init__(self) -> None:
         ordered = tuple(sorted(self.rules, key=lambda r: r.rule_id))
-        by_id = {r.rule_id: r for r in ordered}
-        if len(by_id) != len(ordered):
+        rhs = {r.rule_id: r.rhs for r in ordered}
+        if len(rhs) != len(ordered):
             counts = Counter(r.rule_id for r in ordered)
             dupes = sorted(i for i, n in counts.items() if n > 1)
             raise ValueError(f"duplicate rule ids: {dupes}")
         object.__setattr__(self, "rules", ordered)
-        object.__setattr__(self, "_by_id", by_id)
+        object.__setattr__(self, "rhs", rhs)
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[int, Iterable[Symbol | int | str]]) -> Grammar:
@@ -135,7 +140,7 @@ class Grammar:
 
     def rule(self, rule_id: int) -> Rule:
         try:
-            return self._by_id[rule_id]
+            return Rule(rule_id, self.rhs[rule_id])
         except KeyError:
             raise UnknownRuleError(f"no rule with id {rule_id}") from None
 
@@ -144,10 +149,26 @@ class Grammar:
         return self.rule(ROOT_ID)
 
     def rule_ids(self) -> tuple[int, ...]:
-        return tuple(r.rule_id for r in self.rules)
+        return tuple(self.rhs)
+
+    @functools.cached_property
+    def reach(self) -> dict[int, frozenset[int]]:
+        """Rule id -> every rule it reaches through one or more
+        references; read-only, computed on first read.  A fold over
+        :func:`postorder`, so a rule chain of any depth is fine.  Exact
+        on acyclic grammars; on cyclic ones the walk skips the
+        references that close a cycle, so the sets come out partial
+        instead of the fold looping."""
+        rules = self.rhs
+        reach: dict[int, frozenset[int]] = {}
+        for x in postorder(rules, rules)[0]:
+            children = frozenset(s.rule_id for s in rules[x]
+                                 if isinstance(s, RuleRef) and s.rule_id in rules)
+            reach[x] = children.union(*(reach.get(c, ()) for c in children))
+        return reach
 
     def __contains__(self, rule_id: int) -> bool:
-        return rule_id in self._by_id
+        return rule_id in self.rhs
 
     def __len__(self) -> int:
         return len(self.rules)
@@ -329,7 +350,7 @@ def validate_grammar(g: Grammar) -> ValidationReport:
     is referenced at least twice; computed when first read.
     """
     structural: list[str] = []
-    rules = {rule.rule_id: rule.rhs for rule in g}
+    rules = g.rhs
     if ROOT_ID not in rules:
         structural.append("missing root rule p0")
     for rule_id, rhs in rules.items():

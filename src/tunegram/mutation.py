@@ -29,17 +29,17 @@ edit there can only fail by closing a reference cycle or by purging the
 root, since every source rules out an emptied rhs.  ``_new_edges``
 lists the references a target adds, and ``_fits`` accepts it iff no
 added reference ``x -> c`` has ``c`` equal to ``x`` or reaching ``x``
-in the grammar before the edit (``_reach_sets``, a fold over
-:func:`~tunegram.model.postorder`).  A kind is applicable iff some
-target fits; kinds 6 and 17 count their failing pairs instead of
-scanning them.  Only the accepted target is applied by ``_edit``, and
-the result goes through ``validate_grammar``'s structural check once,
-as a safety net against structurally invalid input.
+in the grammar before the edit (:attr:`~tunegram.model.Grammar.reach`,
+computed once per grammar and shared by every call on it).  A kind is
+applicable iff some target fits; kinds 6 and 17 count their failing
+pairs instead of scanning them.  Only the accepted target is applied
+by ``_edit``, and the result goes through ``validate_grammar``'s
+structural check once, as a safety net against structurally invalid
+input.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import random
 import struct
@@ -56,7 +56,6 @@ from .model import (
     Symbol,
     Terminal,
     TunegramError,
-    postorder,
     validate_grammar,
 )
 
@@ -176,7 +175,7 @@ _Rules = dict[int, list[Symbol]]
 
 
 def _rules_dict(g: Grammar) -> _Rules:
-    return {r.rule_id: list(r.rhs) for r in g}
+    return {i: list(rhs) for i, rhs in g.rhs.items()}
 
 
 def _to_grammar(rules: _Rules) -> Grammar:
@@ -201,21 +200,6 @@ def _term_occurrences(rules: _Rules) -> list[tuple[int, int]]:
             if isinstance(sym, Terminal):
                 occs.append((host, i))
     return occs
-
-
-def _reach_sets(rules: Mapping[int, Sequence[Symbol]]) -> dict[int, set[int]]:
-    """reach[x] = every rule reachable from x through one or more
-    references: a fold over :func:`~tunegram.model.postorder`, so a rule
-    chain of any depth is fine.  Exact on acyclic input (callers hold the
-    structural-validity precondition); on cyclic input the walk skips
-    the references that close a cycle, so the sets come out partial
-    instead of the fold looping."""
-    reach: dict[int, set[int]] = {}
-    for x in postorder(rules, rules)[0]:
-        children = {s.rule_id for s in rules[x]
-                    if isinstance(s, RuleRef) and s.rule_id in rules}
-        reach[x] = children.union(*(reach.get(c, ()) for c in children))
-    return reach
 
 
 def _new_body(non_root: list[int], alphabet: NoteAlphabet,
@@ -499,14 +483,13 @@ def _new_edges(kind, rules, t):
         yield from ((host, s.rule_id) for s in body if isinstance(s, RuleRef))
 
 
-def _fits(kind, rules, t, reach) -> bool:
+def _fits(kind, g: Grammar, t) -> bool:
     """True iff applying target ``t`` of ``kind`` to the acyclic
-    ``rules`` gives a structurally valid grammar.
+    grammar ``g`` gives a structurally valid grammar.
 
-    ``reach`` is a cached zero-argument callable returning
-    :func:`_reach_sets` of ``rules`` before the edit, so reachability is
-    only computed once some target adds a reference.  Kind 19 fits iff
-    its purge spares the root.  Every other kind fits iff no added
+    ``g.reach`` is read only once some target adds a reference, so
+    kinds that add none never compute it.  Kind 19 fits iff its purge
+    spares the root.  Every other kind fits iff no added
     reference ``x -> c`` has ``x == c`` or ``x`` reachable from ``c``.
     That is exact: a new cycle must use an added reference; a shortest
     one that used a removed reference would close an old cycle, and for
@@ -515,12 +498,12 @@ def _fits(kind, rules, t, reach) -> bool:
     neither rule reaches the other.
     """
     if kind == MutationKind.REMOVE_RULE:
-        return _purge(dict(rules), t[0]) is not None
+        return _purge(dict(g.rhs), t[0]) is not None
     if kind == MutationKind.SWAP_DEFINITIONS:
         a, b = t
-        return a not in reach()[b] and b not in reach()[a]
-    return not any(x == c or x in reach().get(c, ())
-                   for x, c in _new_edges(kind, rules, t))
+        return a not in g.reach[b] and b not in g.reach[a]
+    return not any(x == c or x in g.reach.get(c, ())
+                   for x, c in _new_edges(kind, g.rhs, t))
 
 
 def _edit(kind, rules: _Rules, t) -> list[int]:
@@ -597,8 +580,7 @@ def applicable(g: Grammar, kind: MutationKind) -> bool:
     kind = MutationKind(kind)
     if kind in (MutationKind.ADD_NOTE, MutationKind.ADD_RULE):
         return True  # an insertion under the root always fits
-    rules = {r.rule_id: r.rhs for r in g}  # read only: no rhs copies
-    reach = functools.cache(lambda: _reach_sets(rules))
+    rules = g.rhs
     if kind == MutationKind.SWAP_RULE_REFS_ACROSS:
         occs = _ref_occurrences(rules)
         own = dict.fromkeys(rules, 0)  # references hosted per rule
@@ -613,7 +595,7 @@ def applicable(g: Grammar, kind: MutationKind) -> bool:
         # r thus fails with exactly the weight[r] references hosted in r
         # or in a rule r reaches, and some pair fits iff the pairs across
         # hosts outnumber the failing ones.
-        weight = {r: own[r] + sum(map(own.__getitem__, reach()[r]))
+        weight = {r: own[r] + sum(map(own.__getitem__, g.reach[r]))
                   for r in host_of if r in rules}
         n = len(occs)
         cross = n * (n - 1) // 2 - sum(m * (m - 1) // 2 for m in own.values())
@@ -623,9 +605,8 @@ def applicable(g: Grammar, kind: MutationKind) -> bool:
         # most, so the reachable pairs number sum(|reach[x]|), and some
         # pair is free of reachability iff that falls short of C(R, 2).
         n = len(rules)
-        return sum(map(len, reach().values())) < n * (n - 1) // 2
-    return any(_fits(kind, rules, t, reach)
-               for t in _targets(kind, rules, None, None))
+        return sum(map(len, g.reach.values())) < n * (n - 1) // 2
+    return any(_fits(kind, g, t) for t in _targets(kind, rules, None, None))
 
 
 def apply_mutation(
@@ -676,8 +657,7 @@ def apply_mutation(
     if not applicable(g, kind):
         raise InapplicableMutationError(
             f"mutation {int(kind)} ({kind.code}) has no valid target here")
-    rules = {r.rule_id: r.rhs for r in g}  # read only: no rhs copies
-    reach = functools.cache(lambda: _reach_sets(rules))
+    rules = g.rhs
     if targets is not None:
         try:
             usable = _is_target(kind, rules, alphabet, targets)
@@ -687,7 +667,7 @@ def apply_mutation(
     else:
         found = _candidates(kind, rules, alphabet, rng)
     for attempts, t in found:
-        if t is not None and _fits(kind, rules, t, reach):
+        if t is not None and _fits(kind, g, t):
             break
     else:
         if targets is not None:

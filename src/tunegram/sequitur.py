@@ -262,7 +262,7 @@ def expand_rule(g: Grammar, rule_id: int) -> Tune:
     """
     if rule_id not in g:
         raise UnknownRuleError(f"no rule with id {rule_id}")
-    rules = {rule.rule_id: rule.rhs for rule in g}
+    rules = g.rhs
     memo: dict[int, Tune] = {}
     for rid in postorder(rules, (rule_id,))[0]:
         if not rules[rid]:

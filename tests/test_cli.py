@@ -2,6 +2,7 @@
 
 import pytest
 
+import tunegram.cli as cli
 from tunegram.cli import TRAJECTORY_HEADER, main
 from tunegram.corpus import write_tune
 
@@ -97,20 +98,6 @@ def test_mutate_bad_exclude(tune_file, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_seed_from_environment(tune_file, capsys, monkeypatch):
-    monkeypatch.setenv("TUNEGRAM_SEED", "12")
-    main(["mutate", tune_file, "--steps", "10"])
-    from_env = capsys.readouterr().out
-    main(["mutate", tune_file, "--steps", "10", "--seed", "12"])
-    assert capsys.readouterr().out == from_env
-
-
-def test_bad_environment_seed(tune_file, capsys, monkeypatch):
-    monkeypatch.setenv("TUNEGRAM_SEED", "not-a-number")
-    assert main(["mutate", tune_file]) == 1
-    assert "TUNEGRAM_SEED" in capsys.readouterr().err
-
-
 def test_missing_file_is_a_plain_error(capsys):
     assert main(["pai", "/no/such/file.txt"]) == 1
     assert "error:" in capsys.readouterr().err
@@ -183,6 +170,38 @@ def test_per_kind_identical_across_workers(corpus_dir, tmp_path, capsys):
                      "--workers", workers]) == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+    capsys.readouterr()
+
+
+def test_pool_is_no_larger_than_the_job_list(corpus_dir, tmp_path, capsys,
+                                             monkeypatch):
+    # With the fork start method a pool starts all its workers on the
+    # first submit, so --workers 4000 on 3 tunes must ask for 3.  The
+    # fake pool records its size and runs the jobs in this process.
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    outs = []
+    for workers in ("1", "4000"):
+        out = tmp_path / f"pk_w{workers}.csv"
+        assert main(["experiment", "per-kind", "--corpus", corpus_dir,
+                     "--seed", "4", "--out", str(out),
+                     "--workers", workers]) == 0
+        outs.append(out.read_bytes())
+    assert sizes == [3] and outs[0] == outs[1]
     capsys.readouterr()
 
 

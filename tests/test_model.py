@@ -1,6 +1,7 @@
 """Grammar value types, rendering, the reference-graph walk and validity
 reporting."""
 
+import pickle
 import time
 
 import pytest
@@ -96,6 +97,16 @@ def test_from_mapping_sugar():
         Grammar.from_mapping({0: ["q1"]})
 
 
+def test_grammar_pickles_before_and_after_reach_is_read():
+    g = Grammar.from_mapping({0: ["p1", "p2", "p1"], 1: [1, 2], 2: ["p1", 3]})
+    fresh = pickle.loads(pickle.dumps(g))
+    assert fresh == g and fresh.rhs == g.rhs
+    assert g.reach == {0: frozenset({1, 2}), 1: frozenset(), 2: frozenset({1})}
+    copy = pickle.loads(pickle.dumps(g))
+    assert copy == g and copy.rhs == g.rhs and copy.reach == g.reach
+    assert copy.rule(2) == g.rule(2) and copy.rule_ids() == (0, 1, 2)
+
+
 def test_reference_counts():
     g = Grammar.from_mapping({0: ["p1", "p2", "p1"], 1: [1], 2: ["p1", 2]})
     counts = reference_counts(g)
@@ -165,6 +176,10 @@ def test_postorder_lists_children_first_and_finds_cycles(rules, starts):
         assert len(cycle) >= 2 and cycle[0] == cycle[-1]
         for a, b in zip(cycle, cycle[1:]):
             assert RuleRef(b) in rules[a]
+    if not any(_reaches(rules, x, x) for x in rules):
+        g = Grammar(tuple(Rule(x, tuple(rhs)) for x, rhs in rules.items()))
+        assert g.reach == {x: frozenset(y for y in rules if _reaches(rules, x, y))
+                           for x in rules}
 
 
 def test_postorder_on_a_deep_chain_is_iterative():

@@ -1,6 +1,5 @@
 """Mutation operators: targets, applicability, randomness, fallback."""
 
-import functools
 import random
 import time
 
@@ -372,17 +371,15 @@ def test_fits_matches_operator_and_validation():
         rng = RandomSource(derive_seed(5, chain))
         for _ in range(8):
             g = random_mutation(g, a, rng, excluded=frozenset()).grammar
-            rules = mutation_module._rules_dict(g)
-            reach = functools.cache(lambda: mutation_module._reach_sets(rules))
             for kind in MutationKind:
                 fits = []
-                for t in mutation_module._targets(kind, rules, a,
+                for t in mutation_module._targets(kind, g.rhs, a,
                                                   RandomSource(checked)):
                     copy = mutation_module._rules_dict(g)
                     valid = mutation_module._edit(kind, copy, t) is not None \
                         and validate_grammar(
                             mutation_module._to_grammar(copy)).structural_ok
-                    fits.append(mutation_module._fits(kind, rules, t, reach))
+                    fits.append(mutation_module._fits(kind, g, t))
                     assert fits[-1] == valid, (kind, t, render_grammar(g))
                     checked += 1
                 assert applicable(g, kind) == any(fits), (kind, render_grammar(g))
@@ -395,7 +392,7 @@ def test_forced_symmetric_swaps_are_order_free():
     for g in (induce(HORNPIPE), gram({0: ["p1", "p2", 7], 1: [1, 2],
                                       2: ["p3", 5], 3: [8, 9]})):
         a = alpha(g)
-        rules = {r.rule_id: r.rhs for r in g}
+        rules = g.rhs
         for kind in (5, 6, 11, 12, 17):
             for t in mutation_module._targets(MutationKind(kind), rules, a,
                                               None):

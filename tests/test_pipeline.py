@@ -1,9 +1,12 @@
 """The mutate/expand/reparse loop and its bookkeeping."""
 
+import functools
+
 import pytest
 
 from tunegram.model import (
     EmptyTuneError,
+    Grammar,
     MutationKind,
     NoteAlphabet,
     TrajectoryRecord,
@@ -198,6 +201,23 @@ def test_per_kind_is_deterministic_per_kind(mini_corpus):
                              NoteAlphabet.from_tune(t), rng)
     assert full[MutationKind.REVERSE_RULE] == levenshtein(
         t, expand(outcome.grammar))
+
+
+def test_per_kind_walks_reach_once(monkeypatch):
+    # Every kind's applicability check and fit rule read the one induced
+    # grammar's reach sets, so they are walked once for all 19 kinds.
+    walks = []
+    fold = Grammar.reach.func
+
+    def counted(g):
+        walks.append(g)
+        return fold(g)
+
+    reach = functools.cached_property(counted)
+    reach.__set_name__(Grammar, "reach")
+    monkeypatch.setattr(Grammar, "reach", reach)
+    run_per_kind(HORNPIPE, 0)
+    assert len(walks) == 1
 
 
 def test_per_kind_empty_tune():
