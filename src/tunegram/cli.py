@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Iterable, Sequence
 
 from .corpus import load_corpus, write_tune
@@ -97,6 +96,8 @@ def _cmd_ed(args: argparse.Namespace) -> int:
 def _map_jobs(fn: Callable, jobs: list, workers: int) -> list:
     if workers <= 1 or len(jobs) <= 1:
         return [fn(job) for job in jobs]
+    # Imported here, so a one-worker run never loads multiprocessing.
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
         return list(pool.map(fn, jobs))
 

@@ -179,7 +179,11 @@ def _rules_dict(g: Grammar) -> _Rules:
 
 
 def _to_grammar(rules: _Rules) -> Grammar:
-    return Grammar(tuple(Rule(i, tuple(rhs)) for i, rhs in rules.items()))
+    # A list, not a generator: tuple() over a generator allocates ten
+    # slots and shrinks, and the shrunk tuple then lands on the free
+    # list of its new size.  With few full collections to clear them,
+    # those lists only grow.
+    return Grammar(tuple([Rule(i, tuple(rhs)) for i, rhs in rules.items()]))
 
 
 def _ref_occurrences(rules: _Rules) -> list[tuple[int, int, int]]:

@@ -7,11 +7,14 @@ equal symbols excepted) and rule utility (every rule other than the
 root is used at least twice).  Repeated digrams become rules, rules
 whose use count drops to one are inlined again.
 
-The working representation is a doubly linked list per rule with a
-digram index mapping symbol pairs to their one recorded occurrence.
-Terminal values are plain ints; non-terminals are the rule objects
-themselves, so index keys never collide.  The public API converts the
-result into the immutable :class:`~tunegram.model.Grammar`.
+The working representation is int-coded.  A node is an index into
+flat ``prv``/``nxt``/``val`` lists, and each rule is a circular list
+hung off a guard node.  Terminals keep their value; rule ``s`` is the
+symbol ``base + s``, with ``base`` one above the highest note, so a
+symbol is a rule exactly when it is at least ``base``, and the digram
+index, which maps int pairs to their one recorded occurrence, never
+confuses the two.  The public API converts the result into the
+immutable :class:`~tunegram.model.Grammar`.
 """
 
 from __future__ import annotations
@@ -44,198 +47,6 @@ __all__ = [
 ]
 
 
-class _Node:
-    """A doubly linked list cell holding an int or a :class:`_SeqRule`."""
-
-    __slots__ = ("prev", "next", "value", "is_guard", "alive")
-
-    def __init__(self, value, is_guard=False):
-        self.prev = None
-        self.next = None
-        self.value = value
-        self.is_guard = is_guard
-        self.alive = True
-
-
-class _SeqRule:
-    """A rule under construction: a circular list hung off a guard node."""
-
-    __slots__ = ("serial", "guard", "users")
-
-    def __init__(self, serial):
-        self.serial = serial
-        self.guard = _Node(self, is_guard=True)
-        self.guard.prev = self.guard
-        self.guard.next = self.guard
-        self.users = set()  # ref nodes elsewhere whose value is this rule
-
-
-def _link(a: _Node, b: _Node) -> None:
-    a.next = b
-    b.prev = a
-
-
-class _Induction:
-    """One induction run.  Feed symbols, then take the grammar."""
-
-    def __init__(self):
-        self.index: dict[tuple, _Node] = {}
-        self.live: dict[int, _SeqRule] = {}
-        self._serial = 0
-        self.root = self._fresh_rule()
-
-    # -- plumbing -----------------------------------------------------
-
-    def _fresh_rule(self) -> _SeqRule:
-        rule = _SeqRule(self._serial)
-        self.live[rule.serial] = rule
-        self._serial += 1
-        return rule
-
-    def _forget(self, first: _Node) -> None:
-        """Drop the index entry for the digram starting at ``first``,
-        but only if that entry points at this very occurrence."""
-        if first.is_guard or first.next is None or first.next.is_guard:
-            return
-        key = (first.value, first.next.value)
-        if self.index.get(key) is first:
-            del self.index[key]
-
-    def _detach(self, node: _Node) -> None:
-        if isinstance(node.value, _SeqRule):
-            node.value.users.discard(node)
-        node.alive = False
-
-    # -- invariant enforcement ----------------------------------------
-
-    def _check(self, first: _Node) -> bool:
-        """Enforce digram uniqueness for the pair starting at ``first``.
-
-        Returns True if a substitution was made (the caller's local
-        picture of the list is then stale).
-        """
-        if first is None or first.is_guard or not first.alive:
-            return False
-        second = first.next
-        if second is None or second.is_guard or not second.alive:
-            return False
-        key = (first.value, second.value)
-        found = self.index.get(key)
-        if found is None:
-            self.index[key] = first
-            return False
-        if found is first:
-            return False
-        # Overlapping occurrences (x x x) are left alone.
-        if found.next is first or first.next is found:
-            return False
-        self._match(first, found)
-        return True
-
-    def _match(self, new_first: _Node, old_first: _Node) -> None:
-        a_val = old_first.value
-        b_val = old_first.next.value
-        old_prev = old_first.prev
-        old_after = old_first.next.next
-        if old_prev.is_guard and old_after.is_guard:
-            # The recorded occurrence is the entire rhs of a rule:
-            # reuse that rule instead of making a nested copy.
-            rule = old_prev.value
-            self._substitute(new_first, rule)
-        else:
-            rule = self._fresh_rule()
-            a_node = _Node(a_val)
-            b_node = _Node(b_val)
-            if isinstance(a_val, _SeqRule):
-                a_val.users.add(a_node)
-            if isinstance(b_val, _SeqRule):
-                b_val.users.add(b_node)
-            _link(rule.guard, a_node)
-            _link(a_node, b_node)
-            _link(b_node, rule.guard)
-            # Index the rule body as the canonical occurrence before
-            # rewriting, so any digram re-formed by the cascade below
-            # matches the rule instead of racing it.
-            self.index[(a_val, b_val)] = a_node
-            self._substitute(old_first, rule)
-            self._substitute(new_first, rule)
-        # Rule utility: folding both occurrences may have left a
-        # sub-rule with a single remaining use; inline it.
-        for val in (a_val, b_val):
-            if isinstance(val, _SeqRule) and val.serial in self.live \
-                    and len(val.users) == 1:
-                self._inline(val)
-
-    def _substitute(self, first: _Node, rule: _SeqRule) -> None:
-        """Replace the digram starting at ``first`` with a use of ``rule``."""
-        second = first.next
-        prev = first.prev
-        after = second.next
-        self._forget(prev)
-        self._forget(first)
-        self._forget(second)
-        self._detach(first)
-        self._detach(second)
-        use = _Node(rule)
-        rule.users.add(use)
-        _link(prev, use)
-        _link(use, after)
-        # Recheck the seams.  If the left seam rewrote, it has already
-        # dealt with the neighbourhood; checking the stale right seam
-        # would look at dead nodes.
-        if not self._check(prev):
-            self._check(use)
-        # Runs of equal symbols need one more look: if ``second`` opened
-        # a run (x x x), its index entry died with it and the surviving
-        # overlapped pair at ``after`` would otherwise go unindexed.
-        self._check(after)
-
-    def _inline(self, rule: _SeqRule) -> None:
-        """Splice a single-use rule back into its one use site."""
-        (use,) = rule.users
-        prev = use.prev
-        after = use.next
-        first = rule.guard.next
-        last = rule.guard.prev
-        self._forget(prev)
-        self._forget(use)
-        self._detach(use)
-        del self.live[rule.serial]
-        # The rule body keeps its internal digrams (and their index
-        # entries stay valid, the nodes just change neighbours).
-        _link(prev, first)
-        _link(last, after)
-        if not self._check(prev):
-            self._check(last)
-
-    # -- driving ------------------------------------------------------
-
-    def feed(self, value: int) -> None:
-        guard = self.root.guard
-        node = _Node(value)
-        last = guard.prev
-        _link(last, node)
-        _link(node, guard)
-        self._check(last)
-
-    def result(self) -> Grammar:
-        order = sorted(self.live)
-        ids = {serial: dense for dense, serial in enumerate(order)}
-        rules = []
-        for serial in order:
-            seq_rule = self.live[serial]
-            rhs: list[Symbol] = []
-            node = seq_rule.guard.next
-            while not node.is_guard:
-                if isinstance(node.value, _SeqRule):
-                    rhs.append(RuleRef(ids[node.value.serial]))
-                else:
-                    rhs.append(Terminal(node.value))
-                node = node.next
-            rules.append(Rule(ids[serial], tuple(rhs)))
-        return Grammar(tuple(rules))
-
-
 def induce(tune: Sequence[int]) -> Grammar:
     """Parse a tune into a canonical grammar.
 
@@ -244,12 +55,181 @@ def induce(tune: Sequence[int]) -> Grammar:
     """
     if len(tune) == 0:
         raise EmptyTuneError("cannot induce a grammar from an empty tune")
-    engine = _Induction()
-    for note in tune:
-        if isinstance(note, bool) or not isinstance(note, int):
-            raise TypeError(f"tune elements must be ints, got {note!r}")
-        engine.feed(note)
-    return engine.result()
+    if not {int}.issuperset(map(type, tune)):
+        for note in tune:
+            if isinstance(note, bool) or not isinstance(note, int):
+                raise TypeError(f"tune elements must be ints, got {note!r}")
+    # Rule s is the symbol base + s; node 0 is the root's guard.  A dead
+    # node keeps its last links: the second substitution in ``match``
+    # can land on a node that the first one's cascade already replaced,
+    # and it then redoes the replacement through those links.
+    base = max(tune) + 1
+    prv = [0]
+    nxt = [0]
+    val = [base]
+    state = bytearray(b"\2")  # per node: 0 dead, 1 symbol, 2 guard
+    guards: list[int | None] = [0]  # rule -> guard node, None once inlined
+    users: list[set[int]] = [set()]  # rule -> nodes whose value it is
+    index: dict[tuple[int, int], int] = {}  # digram -> its first node
+    setdefault = index.setdefault
+    get = index.get
+
+    def check(first: int) -> bool:
+        """Enforce digram uniqueness for the pair starting at ``first``.
+
+        Returns True if a substitution was made (the caller's local
+        picture of the list is then stale).
+        """
+        if state[first] != 1:
+            return False
+        second = nxt[first]
+        if state[second] != 1:
+            return False
+        found = setdefault((val[first], val[second]), first)
+        # Overlapping occurrences (x x x) are left alone.
+        if found == first or nxt[found] == first or second == found:
+            return False
+        match(first, found)
+        return True
+
+    def match(new_first: int, old_first: int) -> None:
+        old_second = nxt[old_first]
+        a = val[old_first]
+        b = val[old_second]
+        old_prev = prv[old_first]
+        if state[old_prev] == 2 and state[nxt[old_second]] == 2:
+            # The recorded occurrence is the entire rhs of a rule:
+            # reuse that rule instead of making a nested copy.
+            substitute(new_first, val[old_prev])
+        else:
+            rule = base + len(guards)
+            g = len(val)  # the new rule's guard, then its two nodes
+            prv.extend((g + 2, g, g + 1))
+            nxt.extend((g + 1, g + 2, g))
+            val.extend((rule, a, b))
+            state.extend(b"\2\1\1")
+            guards.append(g)
+            users.append(set())
+            if a >= base:
+                users[a - base].add(g + 1)
+            if b >= base:
+                users[b - base].add(g + 2)
+            # Index the rule body as the canonical occurrence before
+            # rewriting, so any digram re-formed by the cascade below
+            # matches the rule instead of racing it.
+            index[a, b] = g + 1
+            substitute(old_first, rule)
+            substitute(new_first, rule)
+        # Rule utility: folding both occurrences may have left a
+        # sub-rule with a single remaining use; inline it.
+        if a >= base and len(users[a - base]) == 1 \
+                and guards[a - base] is not None:
+            inline(a - base)
+        if b >= base and len(users[b - base]) == 1 \
+                and guards[b - base] is not None:
+            inline(b - base)
+
+    def substitute(first: int, rule: int) -> None:
+        """Replace the digram starting at ``first`` with a use of ``rule``."""
+        second = nxt[first]
+        prev = prv[first]
+        after = nxt[second]
+        a = val[first]
+        b = val[second]
+        # Drop the index entries of the three digrams that go, each only
+        # if it records this very occurrence.  ``first`` is never a guard.
+        if state[prev] != 2 and state[nxt[prev]] != 2:
+            key = (val[prev], val[nxt[prev]])
+            if get(key) == prev:
+                del index[key]
+        if state[second] != 2:
+            if get((a, b)) == first:
+                del index[a, b]
+            if state[after] != 2 and get((b, val[after])) == second:
+                del index[b, val[after]]
+        if a >= base:
+            users[a - base].discard(first)
+        if b >= base:
+            users[b - base].discard(second)
+        state[first] = state[second] = 0
+        use = len(val)
+        prv.append(prev)
+        nxt.append(after)
+        val.append(rule)
+        state.append(1)
+        nxt[prev] = use
+        prv[after] = use
+        users[rule - base].add(use)
+        # Recheck the seams.  If the left seam rewrote, it has already
+        # dealt with the neighbourhood; checking the stale right seam
+        # would look at dead nodes.
+        if not check(prev):
+            check(use)
+        # Runs of equal symbols need one more look: if ``second`` opened
+        # a run (x x x), its index entry died with it and the surviving
+        # overlapped pair at ``after`` would otherwise go unindexed.
+        check(after)
+
+    def inline(s: int) -> None:
+        """Splice single-use rule ``s`` back into its one use site."""
+        (use,) = users[s]
+        prev = prv[use]
+        after = nxt[use]
+        first = nxt[guards[s]]
+        last = prv[guards[s]]
+        for x in (prev, use):
+            y = nxt[x]
+            if state[x] != 2 and state[y] != 2:
+                key = (val[x], val[y])
+                if get(key) == x:
+                    del index[key]
+        users[s].discard(use)
+        state[use] = 0
+        guards[s] = None
+        # The rule body keeps its internal digrams (and their index
+        # entries stay valid, the nodes just change neighbours).
+        nxt[prev] = first
+        prv[first] = prev
+        nxt[last] = after
+        prv[after] = last
+        if not check(prev):
+            check(last)
+
+    try:
+        for note in tune:
+            node = len(val)
+            last = prv[0]
+            prv.append(last)
+            nxt.append(0)
+            val.append(note)
+            state.append(1)
+            nxt[last] = node
+            prv[0] = node
+            # check(last), with a new digram handled in line
+            if state[last] == 1:
+                found = setdefault((val[last], note), last)
+                if found != last and nxt[found] != last:
+                    match(last, found)
+    finally:
+        # The four functions reach each other through their closures;
+        # without this the cycle keeps every list alive until a full
+        # garbage collection.
+        del check, match, substitute, inline
+    live = [s for s, g in enumerate(guards) if g is not None]
+    symbols: dict[int, Symbol] = {
+        base + s: RuleRef(rid) for rid, s in enumerate(live)}
+    rules = []
+    for rid, s in enumerate(live):
+        rhs = []
+        node = nxt[guards[s]]
+        while state[node] != 2:
+            sym = symbols.get(val[node])
+            if sym is None:
+                sym = symbols[val[node]] = Terminal(val[node])
+            rhs.append(sym)
+            node = nxt[node]
+        rules.append(Rule(rid, tuple(rhs)))
+    return Grammar(tuple(rules))
 
 
 def expand_rule(g: Grammar, rule_id: int) -> Tune:

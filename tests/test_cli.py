@@ -1,10 +1,17 @@
-"""End-to-end CLI behavior through main(), no subprocesses."""
+"""End-to-end CLI behavior through main(); one test imports the CLI in a
+fresh interpreter."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-import tunegram.cli as cli
 from tunegram.cli import TRAJECTORY_HEADER, main
 from tunegram.corpus import write_tune
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 PITCH16 = (2, 11, 7, 4, 4, 7, 4, 4, 2, 11, 7, 4, 4, 7, 4, 4)
 
@@ -193,7 +200,7 @@ def test_pool_is_no_larger_than_the_job_list(corpus_dir, tmp_path, capsys,
         def map(self, fn, jobs):
             return map(fn, jobs)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
     outs = []
     for workers in ("1", "4000"):
         out = tmp_path / f"pk_w{workers}.csv"
@@ -203,6 +210,17 @@ def test_pool_is_no_larger_than_the_job_list(corpus_dir, tmp_path, capsys,
         outs.append(out.read_bytes())
     assert sizes == [3] and outs[0] == outs[1]
     capsys.readouterr()
+
+
+def test_import_leaves_out_the_process_pool():
+    # The pool's modules load only when a run uses more than one worker.
+    code = ("import sys, tunegram.cli; "
+            "print(sorted({'multiprocessing', 'concurrent.futures.process'}"
+            " & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": SRC})
+    assert done.stdout == "[]\n"
 
 
 def test_encoding_csv(corpus_dir, tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Grammar induction, expansion, and the assembly index."""
 
+import gc
+import hashlib
 import random
 
 import pytest
@@ -232,6 +234,54 @@ def test_long_periodic_stress():
                 g = induce(t)
                 assert expand(g) == tuple(t)
                 assert validate_grammar(g).ok, (motif, reps, extra)
+
+
+def _digest_corpus(mini_corpus):
+    """Tunes whose induced grammars are pinned by digest: random tunes
+    of 1-1,000 notes over 1-24 symbols (some shifted negative, some
+    scaled by +-10**20), the regression tunes, and the mini corpus in
+    pitch and interval encoding."""
+    rnd = random.Random(9)
+    out = []
+    for i in range(400):
+        n = rnd.randint(1, 1000 if i % 4 == 0 else 120)
+        k = rnd.randint(1, 24)
+        shift = -rnd.randrange(k) if i % 3 == 1 else 0
+        scale = (1, 1, 10**20, -10**20)[i % 4] if i % 5 == 2 else 1
+        out.append([(rnd.randrange(k) + shift) * scale for _ in range(n)])
+    out += REGRESSION_TUNES
+    for ct in mini_corpus:
+        out += [ct.tune, to_intervals(ct.tune)]
+    return out
+
+
+# sha256 over render_grammar(induce(t)) for every tune of _digest_corpus,
+# one grammar after another.  Induction must give these exact grammars,
+# rule numbering included, not merely equivalent ones.
+INDUCED_GRAMMARS_DIGEST = (
+    "d4bf2eb6aa37490fa2cfad788604346ae95dff5796012cd22400436f657f8e9f")
+
+
+def test_induced_grammars_match_recorded_digest(mini_corpus):
+    h = hashlib.sha256()
+    for t in _digest_corpus(mini_corpus):
+        h.update(render_grammar(induce(t)).encode())
+        h.update(b"\n")
+    assert h.hexdigest() == INDUCED_GRAMMARS_DIGEST
+
+
+def test_induce_leaves_no_garbage_cycles():
+    # Whatever induction builds on the way must be freed by reference
+    # counting alone, or it lives on until a full collection.
+    rnd = random.Random(5)
+    t = [rnd.randrange(12) for _ in range(3000)]
+    gc.collect()
+    gc.disable()
+    try:
+        induce(t)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_grammars_equivalent_ignores_numbering():
