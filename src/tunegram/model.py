@@ -6,10 +6,13 @@ every other rule must be referenced at least twice for the grammar to be
 in canonical (Sequitur) form.  Everything here is immutable; mutation
 operators build new grammars rather than editing in place.
 
-A :class:`Grammar` owns its lookup table (``rhs``) and its reachability
-sets (``reach``, computed once, on first read).  :func:`postorder` is
-the one walk of the reference graph; validation, expansion and
-``reach`` are built on it.
+A :class:`Grammar` owns every view derived from its rules, each
+computed once, on first read, and shared by every caller: its lookup
+table (``rhs``), its walk of the reference graph (``walk``, one
+:func:`postorder` over every rule), its reachability sets (``reach``),
+its symbol occurrences (``occurrences``) and its mutation
+applicability answers.  Validation, expansion and ``reach`` all read
+the one walk.
 """
 
 from __future__ import annotations
@@ -95,7 +98,10 @@ class Grammar:
     """An immutable set of rules indexed by id, with rule 0 as the root.
 
     ``rules`` is stored sorted by id, and ``rhs`` maps each rule id to
-    its rhs, in the same order; treat it as read-only.  Use
+    its rhs, in the same order; treat it as read-only.  ``_applicable``
+    memoises :func:`tunegram.mutation.applicable` one kind at a time,
+    as kinds are asked about; like the cached views below it is a fact
+    of the rules, never compared.  Use
     :func:`validate_grammar` to check structural validity and
     canonicality; the constructor only rejects duplicate ids so that
     invalid intermediate grammars can still be represented (mutation
@@ -105,6 +111,8 @@ class Grammar:
     rules: tuple[Rule, ...]
     rhs: dict[int, tuple[Symbol, ...]] = field(init=False, repr=False,
                                                compare=False)
+    _applicable: dict[MutationKind, bool] = field(
+        init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         ordered = tuple(sorted(self.rules, key=lambda r: r.rule_id))
@@ -152,20 +160,46 @@ class Grammar:
         return tuple(self.rhs)
 
     @functools.cached_property
+    def walk(self) -> tuple[list[int], list[int] | None]:
+        """``postorder(rhs, rhs)``: every rule after the rules it
+        references, and the first cycle met; read-only, computed on
+        first read.  The root, when present, is the first start, so the
+        order up to and including it is ``postorder(rhs, (ROOT_ID,))``'s."""
+        return postorder(self.rhs, self.rhs)
+
+    @functools.cached_property
     def reach(self) -> dict[int, frozenset[int]]:
         """Rule id -> every rule it reaches through one or more
         references; read-only, computed on first read.  A fold over
-        :func:`postorder`, so a rule chain of any depth is fine.  Exact
-        on acyclic grammars; on cyclic ones the walk skips the
-        references that close a cycle, so the sets come out partial
-        instead of the fold looping."""
+        :attr:`walk`, so a rule chain of any depth is fine.  Exact on
+        acyclic grammars; on cyclic ones the walk skips the references
+        that close a cycle, so the sets come out partial instead of the
+        fold looping."""
         rules = self.rhs
         reach: dict[int, frozenset[int]] = {}
-        for x in postorder(rules, rules)[0]:
+        for x in self.walk[0]:
             children = frozenset(s.rule_id for s in rules[x]
                                  if isinstance(s, RuleRef) and s.rule_id in rules)
             reach[x] = children.union(*(reach.get(c, ()) for c in children))
         return reach
+
+    @functools.cached_property
+    def occurrences(self) -> dict[type, tuple[list[tuple[int, int]],
+                                              dict[int, tuple[int, int]]]]:
+        """``RuleRef`` and ``Terminal`` -> that type's occurrences as
+        ``(host, index)`` in (host, index) order, and host -> the
+        ``(start, stop)`` of its own occurrences in that list; read-only,
+        computed on first read."""
+        refs, notes, ref_spans, note_spans = [], [], {}, {}
+        for host, rhs in self.rhs.items():
+            r, n = len(refs), len(notes)
+            for i, sym in enumerate(rhs):
+                if isinstance(sym, Terminal):
+                    notes.append((host, i))
+                elif isinstance(sym, RuleRef):
+                    refs.append((host, i))
+            ref_spans[host], note_spans[host] = (r, len(refs)), (n, len(notes))
+        return {RuleRef: (refs, ref_spans), Terminal: (notes, note_spans)}
 
     def __contains__(self, rule_id: int) -> bool:
         return rule_id in self.rhs
@@ -361,7 +395,7 @@ def validate_grammar(g: Grammar) -> ValidationReport:
             if isinstance(sym, RuleRef) and sym.rule_id not in rules:
                 structural.append(
                     f"rule p{rule_id} references missing rule p{sym.rule_id}")
-    cycle = postorder(rules, rules)[1]
+    cycle = g.walk[1]
     if cycle is not None:
         structural.append("reference cycle: " + " -> ".join(f"p{i}" for i in cycle))
     return ValidationReport(tuple(structural), g)

@@ -29,20 +29,23 @@ edit there can only fail by closing a reference cycle or by purging the
 root, since every source rules out an emptied rhs.  ``_new_edges``
 lists the references a target adds, and ``_fits`` accepts it iff no
 added reference ``x -> c`` has ``c`` equal to ``x`` or reaching ``x``
-in the grammar before the edit (:attr:`~tunegram.model.Grammar.reach`,
-computed once per grammar and shared by every call on it).  A kind is
-applicable iff some target fits; kinds 6 and 17 count their failing
-pairs instead of scanning them.  Only the accepted target is applied
-by ``_edit``, and the result goes through ``validate_grammar``'s
+in the grammar before the edit (:attr:`~tunegram.model.Grammar.reach`).
+A kind is applicable iff some target fits; kinds 6 and 17 count their
+failing pairs instead of scanning them.  Only the accepted target is
+applied by ``_edit``, and the result goes through ``validate_grammar``'s
 structural check once, as a safety net against structurally invalid
 input.
+
+Everything read off the input grammar (``rhs``, ``walk``, ``reach``,
+the ``occurrences`` that draws and target lists read, and each kind's
+applicability) is a fact the grammar owns, computed once and shared.
 """
 
 from __future__ import annotations
 
-import hashlib
 import random
 import struct
+from _blake2 import blake2b  # hashlib's own; importing hashlib loads OpenSSL
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -150,7 +153,7 @@ def derive_seed(*parts: int) -> int:
     the streams well separated; Python's hash() would not be stable
     across processes.
     """
-    h = hashlib.blake2b(digest_size=8)
+    h = blake2b(digest_size=8)
     for part in parts:
         h.update(struct.pack(">Q", int(part) & 0xFFFFFFFFFFFFFFFF))
     return int.from_bytes(h.digest(), "big")
@@ -184,26 +187,6 @@ def _to_grammar(rules: _Rules) -> Grammar:
     # list of its new size.  With few full collections to clear them,
     # those lists only grow.
     return Grammar(tuple([Rule(i, tuple(rhs)) for i, rhs in rules.items()]))
-
-
-def _ref_occurrences(rules: _Rules) -> list[tuple[int, int, int]]:
-    """(host rule, index, referenced rule) for every RuleRef, in
-    deterministic (host, index) order."""
-    occs = []
-    for host in sorted(rules):
-        for i, sym in enumerate(rules[host]):
-            if isinstance(sym, RuleRef):
-                occs.append((host, i, sym.rule_id))
-    return occs
-
-
-def _term_occurrences(rules: _Rules) -> list[tuple[int, int]]:
-    occs = []
-    for host in sorted(rules):
-        for i, sym in enumerate(rules[host]):
-            if isinstance(sym, Terminal):
-                occs.append((host, i))
-    return occs
 
 
 def _new_body(non_root: list[int], alphabet: NoteAlphabet,
@@ -254,12 +237,15 @@ def _purge(rules: Mapping[int, Sequence[Symbol]], target: int) -> list[int] | No
 # so it can run on the grammar's own rhs tuples.
 
 
-def _draw(kind, rules, alphabet, rng):
+def _draw(kind, g: Grammar, alphabet, rng):
     """One random target of ``kind``, shaped as in :func:`apply_mutation`,
     or None when the drawn symbol's removal would empty its rhs, it has
-    no partner, or the drawn rule is too short to hold a span."""
+    no partner, or the drawn rule is too short to hold a span.  It reads
+    ``g.occurrences`` and copies no whole-grammar list; a choice that skips
+    some of their entries is unranked into them."""
     k = int(kind)
-    ids = sorted(rules)
+    rules = g.rhs
+    ids = list(rules)  # in id order
     non_root = [i for i in ids if i != ROOT_ID]
     if k == 1:
         ref = rng.choose(non_root)
@@ -289,10 +275,7 @@ def _draw(kind, rules, alphabet, rng):
             if r <= n - length:
                 return host, r, length
             r -= n - length + 1
-    if k in (8, 9, 10, 11, 12):
-        occs = _term_occurrences(rules)
-    else:
-        occs = [(h, i) for h, i, _ in _ref_occurrences(rules)]
+    occs, spans = g.occurrences[Terminal if 8 <= k <= 12 else RuleRef]
     host, index = rng.choose(occs)
     n = len(rules[host])
     if k in (2, 8):
@@ -300,27 +283,26 @@ def _draw(kind, rules, alphabet, rng):
     if k in (3, 9):
         if n < 2:
             return None
-        return host, index, rng.choose([p for p in range(n) if p != index])
+        p = rng.below(n - 1)  # rng.choose over the positions but index
+        return host, index, p + (p >= index)
     if k in (4, 10):
         others = [i for i in ids if i != host]
         if n < 2 or not others:
             return None  # moving out would empty the host
         other = rng.choose(others)
         return host, index, other, rng.below(len(rules[other]) + 1)
-    if k in (5, 11):
-        partners = [i for h, i in occs if h == host and i != index]
-    elif k in (6, 12):
-        partners = [(h, i) for h, i in occs if h != host]
-    elif k == 13:
-        partners = [i for i, s in enumerate(rules[host])
-                    if isinstance(s, Terminal)]
-    else:
-        partners = [(h, i) for h, i in _term_occurrences(rules) if h != host]
-    if not partners:
+    if k in (13, 14):
+        occs, spans = g.occurrences[Terminal]
+    start, stop = spans[host]
+    if k in (5, 11, 13):  # a partner in the host
+        partners = [i for _, i in occs[start:stop] if i != index]
+        return (host, index, rng.choose(partners)) if partners else None
+    # rng.choose over the partners in other rules: occs without the
+    # host's own occurrences, which form one run
+    if len(occs) == stop - start:
         return None
-    partner = rng.choose(partners)
-    return (host, index, partner) if k in (5, 11, 13) \
-        else (host, index, *partner)
+    p = rng.below(len(occs) - (stop - start))
+    return (host, index, *occs[p if p < start else p + stop - start])
 
 
 def _is_target(kind, rules, alphabet, t) -> bool:
@@ -390,7 +372,7 @@ def _is_target(kind, rules, alphabet, t) -> bool:
     return target in rules and target != ROOT_ID
 
 
-def _targets(kind, rules, alphabet, rng):
+def _targets(kind, g: Grammar, alphabet, rng):
     """Every target tuple the kind's random draw could produce, lazily.
 
     Shapes match the forced-``targets`` contract of
@@ -402,13 +384,12 @@ def _targets(kind, rules, alphabet, rng):
     goes, so a caller that lists the whole space takes the same draws
     every time.
     """
-    ids = sorted(rules)
+    rules = g.rhs
+    ids = list(rules)  # in id order
     non_root = [i for i in ids if i != ROOT_ID]
     k = int(kind)
-    if k in (2, 3, 4, 5, 6):
-        occs = [(h, i) for h, i, _ in _ref_occurrences(rules)]
-    elif k in (8, 9, 10, 11, 12):
-        occs = _term_occurrences(rules)
+    if 2 <= k <= 6 or 8 <= k <= 12:
+        occs = g.occurrences[RuleRef if k <= 6 else Terminal][0]
     if k == 1:
         yield from ((r, h, ix) for r in non_root for h in ids
                     for ix in range(len(rules[h]) + 1))
@@ -437,14 +418,12 @@ def _targets(kind, rules, alphabet, rng):
         yield from ((h, ix, v) for h in ids for ix in range(len(rules[h]) + 1)
                     for v in alphabet.notes)
     elif k == 13:
-        term_index: dict[int, list[int]] = {}
-        for h, j in _term_occurrences(rules):
-            term_index.setdefault(h, []).append(j)
-        yield from ((h, i, j) for h, i, _ in _ref_occurrences(rules)
-                    for j in term_index.get(h, ()))
+        terms, spans = g.occurrences[Terminal]
+        yield from ((h, i, j) for h, i in g.occurrences[RuleRef][0]
+                    for _, j in terms[slice(*spans[h])])
     elif k == 14:
-        terms = _term_occurrences(rules)
-        yield from ((h1, i, h2, j) for h1, i, _ in _ref_occurrences(rules)
+        terms = g.occurrences[Terminal][0]
+        yield from ((h1, i, h2, j) for h1, i in g.occurrences[RuleRef][0]
                     for h2, j in terms if h1 != h2)
     elif k == 15:
         yield from ((h,) for h in ids)
@@ -567,12 +546,12 @@ def _edit(kind, rules: _Rules, t) -> list[int]:
     return _purge(rules, t[0])  # kind 19
 
 
-def _candidates(kind, rules, alphabet, rng):
+def _candidates(kind, g, alphabet, rng):
     """(attempt, target or None) for drawn targets: ``MAX_ATTEMPTS``
     draws, then the whole target space in shuffled order."""
     for attempt in range(1, MAX_ATTEMPTS + 1):
-        yield attempt, _draw(kind, rules, alphabet, rng)
-    pool = list(_targets(kind, rules, alphabet, rng))
+        yield attempt, _draw(kind, g, alphabet, rng)
+    pool = list(_targets(kind, g, alphabet, rng))
     rng.shuffle(pool)
     yield from enumerate(pool, MAX_ATTEMPTS + 1)
 
@@ -580,17 +559,25 @@ def _candidates(kind, rules, alphabet, rng):
 def applicable(g: Grammar, kind: MutationKind) -> bool:
     """True iff some concrete choice of targets lets apply_mutation
     succeed: some target of the kind fits (see :func:`_fits`).  Kinds 6
-    and 17 count their failing pairs instead, exact on acyclic input."""
+    and 17 count their failing pairs instead, exact on acyclic input.
+    Decided once per grammar and kind; ``g`` keeps the answer."""
     kind = MutationKind(kind)
+    memo = g._applicable
+    if kind not in memo:
+        memo[kind] = _decide(g, kind)
+    return memo[kind]
+
+
+def _decide(g: Grammar, kind: MutationKind) -> bool:
     if kind in (MutationKind.ADD_NOTE, MutationKind.ADD_RULE):
         return True  # an insertion under the root always fits
     rules = g.rhs
     if kind == MutationKind.SWAP_RULE_REFS_ACROSS:
-        occs = _ref_occurrences(rules)
-        own = dict.fromkeys(rules, 0)  # references hosted per rule
+        occs, spans = g.occurrences[RuleRef]
+        referents = [rules[h][i].rule_id for h, i in occs]
+        own = {h: b - a for h, (a, b) in spans.items()}  # refs hosted
         host_of: dict[int, int] = {}
-        for h, _, r in occs:
-            own[h] += 1
+        for (h, _), r in zip(occs, referents):
             if host_of.setdefault(r, h) != h:
                 return True  # swapping two references to r adds none
         # Now the two referents of a pair across hosts differ, and the
@@ -603,14 +590,14 @@ def applicable(g: Grammar, kind: MutationKind) -> bool:
                   for r in host_of if r in rules}
         n = len(occs)
         cross = n * (n - 1) // 2 - sum(m * (m - 1) // 2 for m in own.values())
-        return cross > sum(weight.get(r, 0) for _, _, r in occs)
+        return cross > sum(weight.get(r, 0) for r in referents)
     if kind == MutationKind.SWAP_DEFINITIONS:
         # Acyclic: each unordered pair of rules is reachable one way at
         # most, so the reachable pairs number sum(|reach[x]|), and some
         # pair is free of reachability iff that falls short of C(R, 2).
         n = len(rules)
         return sum(map(len, g.reach.values())) < n * (n - 1) // 2
-    return any(_fits(kind, g, t) for t in _targets(kind, rules, None, None))
+    return any(_fits(kind, g, t) for t in _targets(kind, g, None, None))
 
 
 def apply_mutation(
@@ -669,7 +656,7 @@ def apply_mutation(
             usable = False
         found = [(1, targets)] if usable else []
     else:
-        found = _candidates(kind, rules, alphabet, rng)
+        found = _candidates(kind, g, alphabet, rng)
     for attempts, t in found:
         if t is not None and _fits(kind, g, t):
             break

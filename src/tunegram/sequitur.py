@@ -236,15 +236,19 @@ def expand_rule(g: Grammar, rule_id: int) -> Tune:
     """The terminal sequence a single rule unrolls to.
 
     A fold over :func:`~tunegram.model.postorder`, so each reachable
-    rule is expanded once, after the rules it references.  The first
-    fault met in that order is raised: an empty rhs, a missing rule
+    rule is expanded once, after the rules it references.  The root
+    folds the grammar's shared :attr:`~tunegram.model.Grammar.walk` up
+    to itself, which is the root's own walk.  The first fault met in
+    that order is raised: an empty rhs, a missing rule
     (UnknownRuleError), or a cycle (a reference not yet expanded).
     """
     if rule_id not in g:
         raise UnknownRuleError(f"no rule with id {rule_id}")
     rules = g.rhs
     memo: dict[int, Tune] = {}
-    for rid in postorder(rules, (rule_id,))[0]:
+    order = g.walk[0] if rule_id == ROOT_ID \
+        else postorder(rules, (rule_id,))[0]
+    for rid in order:
         if not rules[rid]:
             raise GrammarStructureError(f"rule p{rid} has an empty rhs")
         parts: list[int] = []
@@ -260,6 +264,8 @@ def expand_rule(g: Grammar, rule_id: int) -> Tune:
                 raise UnknownRuleError(
                     f"rule p{rid} references missing rule p{sym.rule_id}")
         memo[rid] = tuple(parts)
+        if rid == rule_id:
+            break
     return memo[rule_id]
 
 

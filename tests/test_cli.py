@@ -1,4 +1,4 @@
-"""End-to-end CLI behavior through main(); one test imports the CLI in a
+"""End-to-end CLI behavior through main(); two tests import the CLI in a
 fresh interpreter."""
 
 import os
@@ -221,6 +221,16 @@ def test_import_leaves_out_the_process_pool():
                           text=True, check=True,
                           env={**os.environ, "PYTHONPATH": SRC})
     assert done.stdout == "[]\n"
+
+
+def test_import_leaves_out_openssl():
+    # derive_seed's blake2b is hashlib's own, taken from _blake2:
+    # importing hashlib would load the OpenSSL-backed _hashlib.
+    code = "import sys, tunegram.cli; print('_hashlib' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": SRC})
+    assert done.stdout == "False\n"
 
 
 def test_encoding_csv(corpus_dir, tmp_path, capsys):

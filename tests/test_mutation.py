@@ -1,6 +1,9 @@
 """Mutation operators: targets, applicability, randomness, fallback."""
 
+import hashlib
+import pickle
 import random
+import struct
 import time
 
 import pytest
@@ -94,6 +97,14 @@ def test_random_source_choose_and_shuffle():
 def test_derive_seed_frozen_values():
     assert derive_seed(789, 10, 2) == 13200547402772272869
     assert derive_seed(404, 0, 0, 18) == 4161420240919409210
+
+
+def test_derive_seed_is_hashlib_blake2b():
+    for parts in [(), (0,), (789, 10, 2), (404, 0, 0, 18), (-1, 2**64 + 3)]:
+        h = hashlib.blake2b(digest_size=8)
+        for part in parts:
+            h.update(struct.pack(">Q", part % 2**64))
+        assert derive_seed(*parts) == int.from_bytes(h.digest(), "big")
 
 
 def test_derive_seed_is_order_sensitive_and_in_range():
@@ -373,7 +384,7 @@ def test_fits_matches_operator_and_validation():
             g = random_mutation(g, a, rng, excluded=frozenset()).grammar
             for kind in MutationKind:
                 fits = []
-                for t in mutation_module._targets(kind, g.rhs, a,
+                for t in mutation_module._targets(kind, g, a,
                                                   RandomSource(checked)):
                     copy = mutation_module._rules_dict(g)
                     valid = mutation_module._edit(kind, copy, t) is not None \
@@ -386,15 +397,38 @@ def test_fits_matches_operator_and_validation():
     assert checked > 10_000
 
 
+def test_cached_views_neither_go_stale_nor_leak(mini_corpus):
+    # Every view a grammar caches is read first; the answers and the
+    # mutations must then match a fresh grammar of the same rules, which
+    # owns fresh caches, and a pickled copy, which carries the old ones.
+    grammars = [induce(ct.tune) for ct in mini_corpus]
+    for n, kind in enumerate((1, 4, 6, 17, 18, 19)):
+        grammars.append(apply_mutation(grammars[n], kind, alpha(grammars[n]),
+                                       RandomSource(n)).grammar)
+    for g in grammars:
+        a = alpha(g)
+        views = g.walk, g.reach, g.occurrences
+        answers = [applicable(g, kind) for kind in MutationKind]
+        fresh = Grammar(g.rules)
+        assert fresh._applicable == {}
+        for other in (fresh, pickle.loads(pickle.dumps(g))):
+            assert (other.walk, other.reach, other.occurrences) == views
+            assert [applicable(other, kind) for kind in MutationKind] \
+                == answers
+            for kind in MutationKind:
+                if applicable(g, kind):
+                    assert apply_mutation(other, kind, a, RandomSource(7)) \
+                        == apply_mutation(g, kind, a, RandomSource(7))
+
+
 def test_forced_symmetric_swaps_are_order_free():
     # Swapping a with b is swapping b with a: both orders of every target
     # give the same grammar, or are both rejected.
     for g in (induce(HORNPIPE), gram({0: ["p1", "p2", 7], 1: [1, 2],
                                       2: ["p3", 5], 3: [8, 9]})):
         a = alpha(g)
-        rules = g.rhs
         for kind in (5, 6, 11, 12, 17):
-            for t in mutation_module._targets(MutationKind(kind), rules, a,
+            for t in mutation_module._targets(MutationKind(kind), g, a,
                                               None):
                 rev = (t[0], t[2], t[1]) if kind in (5, 11) else \
                     t[2:] + t[:2] if kind in (6, 12) else t[::-1]
@@ -430,13 +464,13 @@ def test_reverse_span_draw_unranks_the_span_list():
     # length) spans, so it must pick what rng.choose on that list picks.
     a = NoteAlphabet((1,))
     for n in range(3, 41):
-        rules = {0: [Terminal(1)] * n}
+        g = Grammar.from_mapping({0: [Terminal(1)] * n})
         for seed in range(8):
             rng = RandomSource(seed)
             host = rng.choose([0])
             spans = [(s, ln) for ln in range(2, n) for s in range(n - ln + 1)]
             assert mutation_module._draw(
-                MutationKind.REVERSE_SPAN, rules, a, RandomSource(seed)) \
+                MutationKind.REVERSE_SPAN, g, a, RandomSource(seed)) \
                 == (host, *rng.choose(spans))
 
 

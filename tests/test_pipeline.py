@@ -4,6 +4,9 @@ import functools
 
 import pytest
 
+import tunegram.model as model_module
+import tunegram.mutation as mutation_module
+import tunegram.sequitur as sequitur_module
 from tunegram.model import (
     EmptyTuneError,
     Grammar,
@@ -218,6 +221,34 @@ def test_per_kind_walks_reach_once(monkeypatch):
     monkeypatch.setattr(Grammar, "reach", reach)
     run_per_kind(HORNPIPE, 0)
     assert len(walks) == 1
+
+
+def test_per_kind_analyses_each_grammar_once(monkeypatch):
+    # The induced grammar is walked once, for its reach sets, and each
+    # mutated grammar once, for its validation and its expansion both.
+    # Each kind's applicability is decided once, though run_per_kind and
+    # apply_mutation both ask, and one occurrence pass serves every draw.
+    calls = {"walk": [], "decide": [], "occurrences": []}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name].append(args)
+            return fn(*args)
+        return wrapper
+
+    walk = counted("walk", model_module.postorder)
+    for module in (model_module, sequitur_module):
+        monkeypatch.setattr(module, "postorder", walk)
+    monkeypatch.setattr(mutation_module, "_decide",
+                        counted("decide", mutation_module._decide))
+    occurrences = functools.cached_property(
+        counted("occurrences", Grammar.occurrences.func))
+    occurrences.__set_name__(Grammar, "occurrences")
+    monkeypatch.setattr(Grammar, "occurrences", occurrences)
+    applied = run_per_kind(HORNPIPE, 0)
+    assert len(calls["walk"]) == 1 + len(applied)
+    assert sorted(kind for _, kind in calls["decide"]) == list(MutationKind)
+    assert len(calls["occurrences"]) == 1
 
 
 def test_per_kind_empty_tune():

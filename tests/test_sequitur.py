@@ -12,9 +12,11 @@ from tunegram.model import (
     EmptyTuneError,
     Grammar,
     GrammarStructureError,
+    Terminal,
     TuneTooShortError,
     UnknownRuleError,
     parse_grammar,
+    postorder,
     render_grammar,
     validate_grammar,
 )
@@ -134,6 +136,27 @@ def test_expand_raises_the_first_fault_in_expansion_order():
     g = Grammar.from_mapping({0: ["p2", "p1"], 1: ["p1", 5], 2: ["p9", 4]})
     with pytest.raises(UnknownRuleError, match="missing rule p9"):
         expand(g)
+
+
+def test_expand_leaves_out_faults_the_root_does_not_reach():
+    # The shared walk covers every rule; expansion folds it only up to
+    # the root, which comes first.
+    g = Grammar.from_mapping({0: [1, "p2"], 2: [3], 7: []})
+    assert expand(g) == (1, 3)
+    g = Grammar.from_mapping({0: [1, "p2"], 2: [3], 5: ["p6"], 6: ["p5", 4]})
+    assert not validate_grammar(g).structural_ok
+    assert expand(g) == (1, 3)
+
+
+def test_expand_rule_matches_a_fold_over_its_own_walk(mini_corpus):
+    for ct in mini_corpus:
+        g = induce(ct.tune)
+        for r in g.rule_ids():
+            memo = {}
+            for x in postorder(g.rhs, (r,))[0]:
+                memo[x] = tuple(v for s in g.rhs[x] for v in (
+                    (s.value,) if isinstance(s, Terminal) else memo[s.rule_id]))
+            assert expand_rule(g, r) == memo[r]
 
 
 def test_expand_deep_grammar_is_iterative():
