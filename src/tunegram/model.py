@@ -6,13 +6,14 @@ every other rule must be referenced at least twice for the grammar to be
 in canonical (Sequitur) form.  Everything here is immutable; mutation
 operators build new grammars rather than editing in place.
 
-A :class:`Grammar` owns every view derived from its rules, each
-computed once, on first read, and shared by every caller: its lookup
-table (``rhs``), its walk of the reference graph (``walk``, one
-:func:`postorder` over every rule), its reachability sets (``reach``),
-its symbol occurrences (``occurrences``) and its mutation
-applicability answers.  Validation, expansion and ``reach`` all read
-the one walk.
+A :class:`Grammar` stores its rules once, as the id-ordered ``rhs``
+map.  It owns every view derived from them, each computed once, on
+first read, and shared by every caller: the rules as :class:`Rule`
+objects (``rules``), its walk of the reference graph (``walk``, one
+:func:`postorder` over every rule, which also records empty rhs and
+missing references), its reachability sets (``reach``), its symbol
+occurrences (``occurrences``) and its mutation applicability answers.
+Validation, expansion and ``reach`` all read the one walk.
 """
 
 from __future__ import annotations
@@ -93,36 +94,47 @@ class Rule:
 # grammars
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class Grammar:
     """An immutable set of rules indexed by id, with rule 0 as the root.
 
-    ``rules`` is stored sorted by id, and ``rhs`` maps each rule id to
-    its rhs, in the same order; treat it as read-only.  ``_applicable``
-    memoises :func:`tunegram.mutation.applicable` one kind at a time,
-    as kinds are asked about; like the cached views below it is a fact
-    of the rules, never compared.  Use
-    :func:`validate_grammar` to check structural validity and
-    canonicality; the constructor only rejects duplicate ids so that
-    invalid intermediate grammars can still be represented (mutation
-    candidates are validated separately).
+    ``rhs`` maps each rule id to its rhs, in id order, and is the one
+    stored copy of the rules; treat it as read-only.  ``rules``, the
+    same rules as :class:`Rule` objects sorted by id, is a view built on
+    first read.  ``_applicable`` memoises
+    :func:`tunegram.mutation.applicable` one kind at a time, as kinds
+    are asked about; like the cached views below it is a fact of the
+    rules, never compared.  Use :func:`validate_grammar` to check
+    structural validity and canonicality; the constructor only rejects
+    duplicate ids so that invalid intermediate grammars can still be
+    represented (mutation candidates are validated separately).
     """
 
-    rules: tuple[Rule, ...]
-    rhs: dict[int, tuple[Symbol, ...]] = field(init=False, repr=False,
-                                               compare=False)
-    _applicable: dict[MutationKind, bool] = field(
-        init=False, repr=False, compare=False, default_factory=dict)
+    rhs: dict[int, tuple[Symbol, ...]]
+    _applicable: dict[MutationKind, bool] = field(compare=False)
 
-    def __post_init__(self) -> None:
-        ordered = tuple(sorted(self.rules, key=lambda r: r.rule_id))
+    def __init__(self, rules: Iterable[Rule]) -> None:
+        ordered = sorted(rules, key=lambda r: r.rule_id)
         rhs = {r.rule_id: r.rhs for r in ordered}
         if len(rhs) != len(ordered):
             counts = Counter(r.rule_id for r in ordered)
             dupes = sorted(i for i, n in counts.items() if n > 1)
             raise ValueError(f"duplicate rule ids: {dupes}")
-        object.__setattr__(self, "rules", ordered)
-        object.__setattr__(self, "rhs", rhs)
+        self.__dict__.update(rhs=rhs, _applicable={})
+
+    @classmethod
+    def _from_rhs(cls, rhs: dict[int, tuple[Symbol, ...]]) -> Grammar:
+        """A grammar that takes ``rhs`` as its own.  Neither its id order
+        nor its tuples are checked: for callers that build them so."""
+        g = cls.__new__(cls)
+        g.__dict__.update(rhs=rhs, _applicable={})
+        return g
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.rhs.items()))
+
+    def __repr__(self) -> str:
+        return f"Grammar(rules={self.rules!r})"
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[int, Iterable[Symbol | int | str]]) -> Grammar:
@@ -160,12 +172,21 @@ class Grammar:
         return tuple(self.rhs)
 
     @functools.cached_property
-    def walk(self) -> tuple[list[int], list[int] | None]:
-        """``postorder(rhs, rhs)``: every rule after the rules it
-        references, and the first cycle met; read-only, computed on
-        first read.  The root, when present, is the first start, so the
-        order up to and including it is ``postorder(rhs, (ROOT_ID,))``'s."""
-        return postorder(self.rhs, self.rhs)
+    def rules(self) -> tuple[Rule, ...]:
+        """The rules as :class:`Rule` objects, sorted by id; read-only,
+        built on first read."""
+        return tuple([Rule(i, rhs) for i, rhs in self.rhs.items()])
+
+    @functools.cached_property
+    def walk(self) -> tuple[list[int], list[int] | None,
+                            list[tuple[int, int | None]]]:
+        """``postorder(rhs, rhs, faults)``: every rule after the rules it
+        references, the first cycle met, and the faults met on the way;
+        read-only, computed on first read.  The root, when present, is
+        the first start, so the order up to and including it is
+        ``postorder(rhs, (ROOT_ID,))``'s."""
+        faults: list[tuple[int, int | None]] = []
+        return (*postorder(self.rhs, self.rhs, faults), faults)
 
     @functools.cached_property
     def reach(self) -> dict[int, frozenset[int]]:
@@ -205,7 +226,7 @@ class Grammar:
         return rule_id in self.rhs
 
     def __len__(self) -> int:
-        return len(self.rules)
+        return len(self.rhs)
 
     def __iter__(self) -> Iterator[Rule]:
         return iter(self.rules)
@@ -214,8 +235,8 @@ class Grammar:
 def reference_counts(g: Grammar) -> Counter[int]:
     """How many times each rule id is referenced across all rhs."""
     counts: Counter[int] = Counter()
-    for rule in g:
-        for sym in rule.rhs:
+    for rhs in g.rhs.values():
+        for sym in rhs:
             if isinstance(sym, RuleRef):
                 counts[sym.rule_id] += 1
     return counts
@@ -232,11 +253,8 @@ def render_grammar(g: Grammar) -> str:
     The output ends with a newline and is byte-stable for a given
     grammar, so it can serve as a golden-file format.
     """
-    lines = []
-    for rule in g.rules:
-        body = " ".join(format_symbol(s) for s in rule.rhs)
-        lines.append(f"p{rule.rule_id} -> {body}\n")
-    return "".join(lines)
+    return "".join(f"p{rule_id} -> {' '.join(map(format_symbol, rhs))}\n"
+                   for rule_id, rhs in g.rhs.items())
 
 
 def parse_grammar(text: str) -> Grammar:
@@ -267,13 +285,18 @@ def parse_grammar(text: str) -> Grammar:
 # the reference graph and validation
 
 
-def postorder(rules: Mapping[int, Sequence[Symbol]],
-              starts: Iterable[int]) -> tuple[list[int], list[int] | None]:
+def postorder(rules: Mapping[int, Sequence[Symbol]], starts: Iterable[int],
+              faults: list[tuple[int, int | None]] | None = None,
+              ) -> tuple[list[int], list[int] | None]:
     """Every rule reachable from ``starts``, each once, after the rules it
     references (depth first, in rhs order), and the first cycle met as a
     closed path ``[x, ..., x]``, or None.  References to missing rules and
     back edges (those that close a cycle) are skipped, so the walk ends
-    on any input; it is iterative, so chains of any depth are fine."""
+    on any input; it is iterative, so chains of any depth are fine.
+
+    A ``faults`` list, if given, gets ``(x, c)`` for each reference from
+    a listed rule ``x`` to a missing rule ``c``, in rhs order, and
+    ``(x, None)`` for each listed rule ``x`` with an empty rhs."""
     order: list[int] = []
     cycle: list[int] | None = None
     on_path: dict[int, bool] = {}  # rule -> still on the path; done if False
@@ -284,9 +307,13 @@ def postorder(rules: Mapping[int, Sequence[Symbol]],
         on_path[start] = True
         while path:
             for sym in rhs_iters[-1]:
-                if not isinstance(sym, RuleRef) or sym.rule_id not in rules:
+                if not isinstance(sym, RuleRef):
                     continue
                 child = sym.rule_id
+                if child not in rules:
+                    if faults is not None:
+                        faults.append((path[-1], child))
+                    continue
                 if child not in on_path:
                     on_path[child] = True
                     path.append(child)
@@ -295,9 +322,12 @@ def postorder(rules: Mapping[int, Sequence[Symbol]],
                 if on_path[child] and cycle is None:
                     cycle = path[path.index(child):] + [child]
             else:
-                on_path[path[-1]] = False
-                order.append(path.pop())
+                x = path.pop()
+                on_path[x] = False
+                order.append(x)
                 rhs_iters.pop()
+                if faults is not None and not rules[x]:
+                    faults.append((x, None))
     return order, cycle
 
 
@@ -332,10 +362,10 @@ class ValidationReport:
                     f"digram {format_symbol(a)} {format_symbol(b)} repeats at {where}")
 
         counts = reference_counts(self.grammar)
-        for rule in self.grammar:
-            if rule.rule_id != ROOT_ID and counts[rule.rule_id] < 2:
+        for rule_id in self.grammar.rhs:
+            if rule_id != ROOT_ID and counts[rule_id] < 2:
                 canonical.append(
-                    f"rule p{rule.rule_id} is referenced {counts[rule.rule_id]} time(s)")
+                    f"rule p{rule_id} is referenced {counts[rule_id]} time(s)")
         return tuple(canonical)
 
     @property
@@ -366,9 +396,9 @@ class ValidationReport:
 def digram_census(g: Grammar) -> dict[tuple[Symbol, Symbol], list[tuple[int, int]]]:
     """All adjacent symbol pairs, keyed by pair, valued by (rule, index)."""
     census: dict[tuple[Symbol, Symbol], list[tuple[int, int]]] = {}
-    for rule in g:
-        for i in range(len(rule.rhs) - 1):
-            census.setdefault((rule.rhs[i], rule.rhs[i + 1]), []).append((rule.rule_id, i))
+    for rule_id, rhs in g.rhs.items():
+        for i in range(len(rhs) - 1):
+            census.setdefault((rhs[i], rhs[i + 1]), []).append((rule_id, i))
     return census
 
 
@@ -382,20 +412,18 @@ def validate_grammar(g: Grammar) -> ValidationReport:
     overlapping occurrences of a digram with equal halves (as in
     ``4 4 4``) do not count as repeats; and every rule besides the root
     is referenced at least twice; computed when first read.
+
+    The structural half reads only :attr:`Grammar.walk`: its faults,
+    put in id order (empty rhs first, then missing references), and its
+    cycle.
     """
-    structural: list[str] = []
-    rules = g.rhs
-    if ROOT_ID not in rules:
-        structural.append("missing root rule p0")
-    for rule_id, rhs in rules.items():
-        if not rhs:
-            structural.append(f"rule p{rule_id} has an empty rhs")
-    for rule_id, rhs in rules.items():
-        for sym in rhs:
-            if isinstance(sym, RuleRef) and sym.rule_id not in rules:
-                structural.append(
-                    f"rule p{rule_id} references missing rule p{sym.rule_id}")
-    cycle = g.walk[1]
+    structural = [] if ROOT_ID in g else ["missing root rule p0"]
+    _, cycle, faults = g.walk
+    # Stable: one rule's missing references keep their rhs order.
+    for rule_id, missing in sorted(faults, key=lambda f: (f[1] is not None, f[0])):
+        structural.append(
+            f"rule p{rule_id} has an empty rhs" if missing is None
+            else f"rule p{rule_id} references missing rule p{missing}")
     if cycle is not None:
         structural.append("reference cycle: " + " -> ".join(f"p{i}" for i in cycle))
     return ValidationReport(tuple(structural), g)

@@ -32,9 +32,11 @@ added reference ``x -> c`` has ``c`` equal to ``x`` or reaching ``x``
 in the grammar before the edit (:attr:`~tunegram.model.Grammar.reach`).
 A kind is applicable iff some target fits; kinds 6 and 17 count their
 failing pairs instead of scanning them.  Only the accepted target is
-applied by ``_edit``, and the result goes through ``validate_grammar``'s
-structural check once, as a safety net against structurally invalid
-input.
+applied by ``_edit``, to one copy of the rhs map, which the new grammar
+takes as its own, in id order and with no :class:`~tunegram.model.Rule`
+objects.  The result goes through ``validate_grammar``'s structural
+check once, as a safety net against structurally invalid input; that
+check reads the new grammar's one walk, which ``expand`` reuses.
 
 Everything read off the input grammar (``rhs``, ``walk``, ``reach``,
 the ``occurrences`` that draws and target lists read, and each kind's
@@ -54,7 +56,6 @@ from .model import (
     Grammar,
     MutationKind,
     NoteAlphabet,
-    Rule,
     RuleRef,
     Symbol,
     Terminal,
@@ -182,11 +183,9 @@ def _rules_dict(g: Grammar) -> _Rules:
 
 
 def _to_grammar(rules: _Rules) -> Grammar:
-    # A list, not a generator: tuple() over a generator allocates ten
-    # slots and shrinks, and the shrunk tuple then lands on the free
-    # list of its new size.  With few full collections to clear them,
-    # those lists only grow.
-    return Grammar(tuple([Rule(i, tuple(rhs)) for i, rhs in rules.items()]))
+    # _edit keeps the id order of _rules_dict: kind 18 adds the highest
+    # id last, and kind 19 only deletes.
+    return Grammar._from_rhs({i: tuple(rhs) for i, rhs in rules.items()})
 
 
 def _new_body(non_root: list[int], alphabet: NoteAlphabet,

@@ -27,7 +27,6 @@ from .model import (
     EmptyTuneError,
     Grammar,
     GrammarStructureError,
-    Rule,
     RuleRef,
     Symbol,
     Terminal,
@@ -59,10 +58,7 @@ def induce(tune: Sequence[int]) -> Grammar:
         for note in tune:
             if isinstance(note, bool) or not isinstance(note, int):
                 raise TypeError(f"tune elements must be ints, got {note!r}")
-    # Rule s is the symbol base + s; node 0 is the root's guard.  A dead
-    # node keeps its last links: the second substitution in ``match``
-    # can land on a node that the first one's cascade already replaced,
-    # and it then redoes the replacement through those links.
+    # Rule s is the symbol base + s; node 0 is the root's guard.
     base = max(tune) + 1
     prv = [0]
     nxt = [0]
@@ -119,7 +115,10 @@ def induce(tune: Sequence[int]) -> Grammar:
             # matches the rule instead of racing it.
             index[a, b] = g + 1
             substitute(old_first, rule)
-            substitute(new_first, rule)
+            # The first substitution's cascade may already have replaced
+            # this occurrence too, by a use of the same rule.
+            if state[new_first]:
+                substitute(new_first, rule)
         # Rule utility: folding both occurrences may have left a
         # sub-rule with a single remaining use; inline it.
         if a >= base and len(users[a - base]) == 1 \
@@ -218,7 +217,7 @@ def induce(tune: Sequence[int]) -> Grammar:
     live = [s for s, g in enumerate(guards) if g is not None]
     symbols: dict[int, Symbol] = {
         base + s: RuleRef(rid) for rid, s in enumerate(live)}
-    rules = []
+    rules = {}
     for rid, s in enumerate(live):
         rhs = []
         node = nxt[guards[s]]
@@ -228,8 +227,8 @@ def induce(tune: Sequence[int]) -> Grammar:
                 sym = symbols[val[node]] = Terminal(val[node])
             rhs.append(sym)
             node = nxt[node]
-        rules.append(Rule(rid, tuple(rhs)))
-    return Grammar(tuple(rules))
+        rules[rid] = tuple(rhs)
+    return Grammar._from_rhs(rules)
 
 
 def expand_rule(g: Grammar, rule_id: int) -> Tune:
@@ -281,7 +280,7 @@ def pai(g: Grammar) -> int:
     total rhs symbol count minus the number of rules.  Unlike raw rule
     counts it does not reward splitting one rule into two.
     """
-    return sum(len(rule.rhs) - 1 for rule in g)
+    return sum(map(len, g.rhs.values())) - len(g.rhs)
 
 
 def to_intervals(tune: Sequence[int]) -> Tune:
@@ -294,6 +293,6 @@ def to_intervals(tune: Sequence[int]) -> Tune:
 
 def grammars_equivalent(a: Grammar, b: Grammar) -> bool:
     """Equality up to rule renumbering: same tune, same rhs-size multiset."""
-    if Counter(len(r.rhs) for r in a) != Counter(len(r.rhs) for r in b):
+    if Counter(map(len, a.rhs.values())) != Counter(map(len, b.rhs.values())):
         return False
     return expand(a) == expand(b)

@@ -243,6 +243,34 @@ def test_cycle_and_dangling_reference_messages():
     )
 
 
+def _structural_oracle(g):
+    """The structural half as three scans of the rhs map plus a cycle
+    check: what validate_grammar must report from its one walk."""
+    rules = g.rhs
+    structural = [] if 0 in rules else ["missing root rule p0"]
+    for rule_id, rhs in rules.items():
+        if not rhs:
+            structural.append(f"rule p{rule_id} has an empty rhs")
+    for rule_id, rhs in rules.items():
+        for sym in rhs:
+            if isinstance(sym, RuleRef) and sym.rule_id not in rules:
+                structural.append(
+                    f"rule p{rule_id} references missing rule p{sym.rule_id}")
+    cycle = postorder(rules, rules)[1]
+    if cycle is not None:
+        structural.append("reference cycle: " + " -> ".join(f"p{i}" for i in cycle))
+    return tuple(structural)
+
+
+@given(rule_maps)
+@settings(max_examples=400, deadline=None)
+def test_structural_check_from_the_walk_matches_three_scans(rules):
+    # rule_maps give empty rhs, dangling references, cycles, grammars
+    # without p0 and rules the root does not reach.
+    g = Grammar.from_mapping(rules)
+    assert validate_grammar(g).structural_violations == _structural_oracle(g)
+
+
 def test_structural_ok_never_computes_the_canonical_half(monkeypatch):
     def forbidden(g):
         raise AssertionError("canonical half computed")

@@ -575,6 +575,23 @@ def test_mutation_chain_stays_structural(mini_corpus):
         g = induce(expand(out.grammar))
 
 
+def test_mutated_grammars_keep_their_rules_in_id_order(mini_corpus):
+    # A draw ranks rules in rhs order, so outputs depend on that order;
+    # kind 18 adds a rule and kind 19 removes rules, and neither may
+    # leave the rhs map out of id order.
+    kinds = set()
+    for ci, ct in enumerate(mini_corpus[:5]):
+        a = NoteAlphabet.from_tune(ct.tune)
+        g = induce(ct.tune)
+        rng = RandomSource(derive_seed(17, ci))
+        for _ in range(40):
+            out = random_mutation(g, a, rng, excluded=frozenset())
+            g = out.grammar
+            kinds.add(out.kind)
+            assert list(g.rhs) == sorted(g.rhs)
+    assert {MutationKind.ADD_RULE, MutationKind.REMOVE_RULE} <= kinds
+
+
 # ---------------------------------------------------------------------------
 # the exhaustive fallback
 

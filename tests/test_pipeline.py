@@ -251,6 +251,31 @@ def test_per_kind_analyses_each_grammar_once(monkeypatch):
     assert len(calls["occurrences"]) == 1
 
 
+def test_loop_builds_no_rule_objects(monkeypatch):
+    # Grammar.rhs is the one stored copy of the rules: neither loop reads
+    # the Rule view or builds a Rule.
+    reads, built = [], []
+
+    def rules(g):
+        reads.append(g)
+        return view(g)
+
+    def post_init(rule):
+        built.append(rule)
+        check(rule)
+
+    view, check = Grammar.rules.func, model_module.Rule.__post_init__
+    prop = functools.cached_property(rules)
+    prop.__set_name__(Grammar, "rules")
+    monkeypatch.setattr(Grammar, "rules", prop)
+    monkeypatch.setattr(model_module.Rule, "__post_init__", post_init)
+    run_per_kind(HORNPIPE, 0)
+    run(HORNPIPE, RunConfig(steps=20, seed=3))
+    assert reads == [] and built == []
+    assert len(Grammar.from_mapping({0: [1, 2]}).rules) == 1
+    assert len(reads) == 1 and len(built) == 2
+
+
 def test_per_kind_empty_tune():
     with pytest.raises(EmptyTuneError):
         run_per_kind((), seed=0)

@@ -2,6 +2,7 @@
 
 import gc
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -291,6 +292,25 @@ def test_induced_grammars_match_recorded_digest(mini_corpus):
         h.update(render_grammar(induce(t)).encode())
         h.update(b"\n")
     assert h.hexdigest() == INDUCED_GRAMMARS_DIGEST
+
+
+# sha256 over render_grammar(induce(t)) for every tune over 2 symbols of
+# 1-13 notes and over 3 symbols of 1-8 notes (26,222 tunes), lengths in
+# turn, each in itertools.product order, one grammar after another.
+SMALL_TUNES_DIGEST = (
+    "f653ffbb0ac78891d42f3661a750d13f50a416256a23ef2c9dde0a99880ba707")
+
+
+def test_every_small_tune_round_trips_in_canonical_form():
+    h = hashlib.sha256()
+    for k, longest in ((2, 13), (3, 8)):
+        for n in range(1, longest + 1):
+            for t in itertools.product(range(k), repeat=n):
+                g = induce(t)
+                assert expand(g) == t and validate_grammar(g).ok, t
+                h.update(render_grammar(g).encode())
+                h.update(b"\n")
+    assert h.hexdigest() == SMALL_TUNES_DIGEST
 
 
 def test_induce_leaves_no_garbage_cycles():
