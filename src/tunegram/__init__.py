@@ -43,7 +43,7 @@ from .mutation import (
     random_mutation,
 )
 from .pipeline import RunConfig, RunResult, StepFailedError, run, run_per_kind
-from .sequitur import expand, expand_rule, grammars_equivalent, induce, pai, to_intervals
+from .sequitur import expand, expand_rule, induce, pai, to_intervals
 
 __version__ = "0.1.0"
 
@@ -75,7 +75,6 @@ __all__ = [
     "expand",
     "expand_rule",
     "export_midi",
-    "grammars_equivalent",
     "induce",
     "levenshtein",
     "load_corpus",

@@ -12,6 +12,7 @@ import logging
 import re
 from dataclasses import dataclass
 from importlib import resources
+from os.path import splitext
 from pathlib import Path
 from typing import Sequence
 
@@ -41,7 +42,7 @@ class CorpusTune:
     source_path: str
 
 
-def _parse_tune_file(path: Path) -> Tune:
+def _parse_tune_file(path) -> Tune:
     notes: list[int] = []
     text = path.read_text(encoding="utf-8")
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -58,16 +59,18 @@ def _parse_tune_file(path: Path) -> Tune:
     return tuple(notes)
 
 
-def load_corpus(path: str | Path) -> list[CorpusTune]:
+def load_corpus(path) -> list[CorpusTune]:
     """Load one tune file, or every tune file in a directory.
 
+    ``path`` may also be a ``Traversable``, such as a directory in a zip.
     Empty-tune files are skipped (a single warning reports how many).
     Ids must be unique; two files with the same stem are an error.
     """
-    root = Path(path)
+    root = path if hasattr(path, "iterdir") else Path(path)
     if root.is_dir():
-        files = sorted(p for p in root.iterdir()
-                       if p.suffix in (".txt", ".csv") and p.is_file())
+        files = sorted((p for p in root.iterdir()
+                        if splitext(p.name)[1] in (".txt", ".csv")
+                        and p.is_file()), key=lambda p: p.name)
     elif root.is_file():
         files = [root]
     else:
@@ -81,12 +84,12 @@ def load_corpus(path: str | Path) -> list[CorpusTune]:
         if not notes:
             skipped += 1
             continue
-        if file.stem in seen:
+        stem = splitext(file.name)[0]
+        if stem in seen:
             raise CorpusFormatError(
-                file, 1, 1,
-                f"duplicate tune id {file.stem!r} (also {seen[file.stem]})")
-        seen[file.stem] = file
-        tunes.append(CorpusTune(file.stem, notes, str(file)))
+                file, 1, 1, f"duplicate tune id {stem!r} (also {seen[stem]})")
+        seen[stem] = file
+        tunes.append(CorpusTune(stem, notes, str(file)))
     if skipped:
         log.warning("skipped %d empty tune file(s) under %s", skipped, root)
     return tunes
@@ -100,8 +103,7 @@ def load_mini_corpus() -> list[CorpusTune]:
     the package, for experiments and tests that need a corpus without
     depending on an external collection.
     """
-    root = resources.files(__package__) / "data" / "mini_corpus"
-    return load_corpus(Path(str(root)))
+    return load_corpus(resources.files(__package__) / "data" / "mini_corpus")
 
 
 def serialize_tune(t: Sequence[int]) -> str:

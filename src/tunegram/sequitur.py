@@ -15,11 +15,17 @@ symbol is a rule exactly when it is at least ``base``, and the digram
 index, which maps int pairs to their one recorded occurrence, never
 confuses the two.  The public API converts the result into the
 immutable :class:`~tunegram.model.Grammar`.
+
+A substitution rewrites the digram's first node in place into the
+rule use and kills only the second node, so nodes are appended only
+for notes and new rules.  A node's value therefore changes, but only
+to a rule whose expansion strictly extends the old value's, so it
+never changes back.  A node id held across a cascade is stale exactly
+when the node is dead or its value has changed.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Sequence
 
 from .model import (
@@ -42,7 +48,6 @@ __all__ = [
     "expand_rule",
     "pai",
     "to_intervals",
-    "grammars_equivalent",
 ]
 
 
@@ -69,24 +74,6 @@ def induce(tune: Sequence[int]) -> Grammar:
     index: dict[tuple[int, int], int] = {}  # digram -> its first node
     setdefault = index.setdefault
     get = index.get
-
-    def check(first: int) -> bool:
-        """Enforce digram uniqueness for the pair starting at ``first``.
-
-        Returns True if a substitution was made (the caller's local
-        picture of the list is then stale).
-        """
-        if state[first] != 1:
-            return False
-        second = nxt[first]
-        if state[second] != 1:
-            return False
-        found = setdefault((val[first], val[second]), first)
-        # Overlapping occurrences (x x x) are left alone.
-        if found == first or nxt[found] == first or second == found:
-            return False
-        match(first, found)
-        return True
 
     def match(new_first: int, old_first: int) -> None:
         old_second = nxt[old_first]
@@ -117,7 +104,7 @@ def induce(tune: Sequence[int]) -> Grammar:
             substitute(old_first, rule)
             # The first substitution's cascade may already have replaced
             # this occurrence too, by a use of the same rule.
-            if state[new_first]:
+            if state[new_first] and val[new_first] == a:
                 substitute(new_first, rule)
         # Rule utility: folding both occurrences may have left a
         # sub-rule with a single remaining use; inline it.
@@ -129,45 +116,55 @@ def induce(tune: Sequence[int]) -> Grammar:
             inline(b - base)
 
     def substitute(first: int, rule: int) -> None:
-        """Replace the digram starting at ``first`` with a use of ``rule``."""
+        """Turn ``first`` into a use of ``rule``, the digram it opens."""
         second = nxt[first]
         prev = prv[first]
         after = nxt[second]
         a = val[first]
         b = val[second]
+        c = val[after]
         # Drop the index entries of the three digrams that go, each only
-        # if it records this very occurrence.  ``first`` is never a guard.
-        if state[prev] != 2 and state[nxt[prev]] != 2:
-            key = (val[prev], val[nxt[prev]])
-            if get(key) == prev:
-                del index[key]
-        if state[second] != 2:
-            if get((a, b)) == first:
-                del index[a, b]
-            if state[after] != 2 and get((b, val[after])) == second:
-                del index[b, val[after]]
+        # if it records this very occurrence.  Neither ``first`` nor
+        # ``second`` is ever a guard.
+        if state[prev] != 2 and get((val[prev], a)) == prev:
+            del index[val[prev], a]
+        if get((a, b)) == first:
+            del index[a, b]
+        if state[after] != 2 and get((b, c)) == second:
+            del index[b, c]
         if a >= base:
             users[a - base].discard(first)
         if b >= base:
             users[b - base].discard(second)
-        state[first] = state[second] = 0
-        use = len(val)
-        prv.append(prev)
-        nxt.append(after)
-        val.append(rule)
-        state.append(1)
-        nxt[prev] = use
-        prv[after] = use
-        users[rule - base].add(use)
+        users[rule - base].add(first)
+        state[second] = 0
+        val[first] = rule
+        nxt[first] = after
+        prv[after] = first
         # Recheck the seams.  If the left seam rewrote, it has already
-        # dealt with the neighbourhood; checking the stale right seam
-        # would look at dead nodes.
-        if not check(prev):
-            check(use)
+        # dealt with the neighbourhood, so the right one is left alone.
+        # A pair overlapping its recorded occurrence (x x x) is kept.
+        left = False
+        if state[prev] == 1:
+            found = setdefault((val[prev], rule), prev)
+            left = found != prev and nxt[found] != prev and found != first
+            if left:
+                match(prev, found)
+        if not left and state[after] == 1:
+            found = setdefault((rule, c), first)
+            if found != first and nxt[found] != first and found != after:
+                match(first, found)
         # Runs of equal symbols need one more look: if ``second`` opened
         # a run (x x x), its index entry died with it and the surviving
         # overlapped pair at ``after`` would otherwise go unindexed.
-        check(after)
+        # A cascade above may have made ``after`` stale: dead, or reused
+        # with another value.
+        if state[after] == 1 and val[after] == c:
+            d = nxt[after]
+            if state[d] == 1:
+                found = setdefault((c, val[d]), after)
+                if found != after and nxt[found] != after and found != d:
+                    match(after, found)
 
     def inline(s: int) -> None:
         """Splice single-use rule ``s`` back into its one use site."""
@@ -176,12 +173,11 @@ def induce(tune: Sequence[int]) -> Grammar:
         after = nxt[use]
         first = nxt[guards[s]]
         last = prv[guards[s]]
-        for x in (prev, use):
-            y = nxt[x]
-            if state[x] != 2 and state[y] != 2:
-                key = (val[x], val[y])
-                if get(key) == x:
-                    del index[key]
+        r = val[use]
+        if state[prev] != 2 and get((val[prev], r)) == prev:
+            del index[val[prev], r]
+        if state[after] != 2 and get((r, val[after])) == use:
+            del index[r, val[after]]
         users[s].discard(use)
         state[use] = 0
         guards[s] = None
@@ -191,8 +187,17 @@ def induce(tune: Sequence[int]) -> Grammar:
         prv[first] = prev
         nxt[last] = after
         prv[after] = last
-        if not check(prev):
-            check(last)
+        # The seam checks of substitute; the body's ends are symbols.
+        left = False
+        if state[prev] == 1:
+            found = setdefault((val[prev], val[first]), prev)
+            left = found != prev and nxt[found] != prev and found != first
+            if left:
+                match(prev, found)
+        if not left and state[after] == 1:
+            found = setdefault((val[last], val[after]), last)
+            if found != last and nxt[found] != last and found != after:
+                match(last, found)
 
     try:
         for note in tune:
@@ -204,16 +209,16 @@ def induce(tune: Sequence[int]) -> Grammar:
             state.append(1)
             nxt[last] = node
             prv[0] = node
-            # check(last), with a new digram handled in line
+            # the seam check, with a new digram handled in line
             if state[last] == 1:
                 found = setdefault((val[last], note), last)
                 if found != last and nxt[found] != last:
                     match(last, found)
     finally:
-        # The four functions reach each other through their closures;
+        # The three functions reach each other through their closures;
         # without this the cycle keeps every list alive until a full
         # garbage collection.
-        del check, match, substitute, inline
+        del match, substitute, inline
     live = [s for s, g in enumerate(guards) if g is not None]
     symbols: dict[int, Symbol] = {
         base + s: RuleRef(rid) for rid, s in enumerate(live)}
@@ -290,9 +295,3 @@ def to_intervals(tune: Sequence[int]) -> Tune:
             f"need at least two notes for intervals, got {len(tune)}")
     return tuple(b - a for a, b in zip(tune, tune[1:]))
 
-
-def grammars_equivalent(a: Grammar, b: Grammar) -> bool:
-    """Equality up to rule renumbering: same tune, same rhs-size multiset."""
-    if Counter(map(len, a.rhs.values())) != Counter(map(len, b.rhs.values())):
-        return False
-    return expand(a) == expand(b)

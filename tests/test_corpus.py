@@ -1,11 +1,18 @@
 """Tune file parsing and corpus directory loading."""
 
+import json
 import logging
+import os
+import subprocess
+import sys
+import zipfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+import tunegram
 from tunegram.corpus import (
     CorpusFormatError,
     load_corpus,
@@ -135,3 +142,26 @@ def test_mini_corpus_supports_every_mutation_kind(mini_corpus):
     for ct in mini_corpus:
         g = induce(ct.tune)
         assert all(applicable(g, k) for k in MutationKind), ct.id
+
+
+def test_mini_corpus_loads_from_a_zip(tmp_path, mini_corpus):
+    # The bundled corpus is read through importlib.resources, so it must
+    # load when the package is imported from a zip, not only from disk.
+    pkg = Path(tunegram.__file__).parent
+    archive = tmp_path / "tunegram.zip"
+    with zipfile.ZipFile(archive, "w") as z:
+        for f in sorted(pkg.rglob("*")):
+            if f.is_file() and "__pycache__" not in f.parts:
+                z.write(f, Path("tunegram") / f.relative_to(pkg))
+    code = (
+        "import json, sys\n"
+        f"sys.path[:] = [{str(archive)!r}] + sys.path[1:]\n"
+        "import tunegram\n"
+        f"assert tunegram.__file__.startswith({str(archive)!r})\n"
+        "print(json.dumps([[t.id, t.tune] for t in tunegram.load_mini_corpus()]))\n")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert [(i, tuple(t)) for i, t in json.loads(proc.stdout)] == \
+        [(t.id, t.tune) for t in mini_corpus]

@@ -24,7 +24,6 @@ from tunegram.model import (
 from tunegram.sequitur import (
     expand,
     expand_rule,
-    grammars_equivalent,
     induce,
     pai,
     to_intervals,
@@ -313,6 +312,55 @@ def test_every_small_tune_round_trips_in_canonical_form():
     assert h.hexdigest() == SMALL_TUNES_DIGEST
 
 
+# Tune generators copied from tunebench/workloads.py, so that this pin
+# does not move if the benchmark's corpora change.
+_SCALE = (0, 2, 4, 5, 7, 9, 11, 12, 14, 16, 17, 19)
+
+
+def _long_strophic(rng, n):
+    phrases = [[rng.choice(_SCALE) + 48 for _ in range(rng.randint(6, 10))]
+               for _ in range(8)]
+    sections = [[rng.randrange(len(phrases)) for _ in range(rng.randint(4, 8))]
+                for _ in range(5)]
+    notes = []
+    while len(notes) < n:
+        for p in rng.choice(sections):
+            phrase = list(phrases[p])
+            if rng.random() < 0.1:
+                phrase[rng.randrange(len(phrase))] = rng.choice(_SCALE) + 48
+            notes.extend(phrase)
+    return tuple(notes[:n])
+
+
+def _random_walk(rng, n):
+    steps = [s for s in range(-7, 8) if s]
+    pitch = 60
+    notes = []
+    for _ in range(n):
+        pitch = min(96, max(24, pitch + rng.choice(steps)))
+        notes.append(pitch)
+    return tuple(notes)
+
+
+# sha256 over render_grammar(induce(t)) for two strophic and two
+# random-walk tunes of 5,000 notes (random.Random(11)), each followed by
+# its interval encoding.  _digest_corpus stops at 1,000 notes; these
+# grammars nest deeper and run longer substitution cascades.
+LONG_TUNES_DIGEST = (
+    "1ab9441e28ce42a7e95af75dcddc0c205a6a0de0ce0c256448f4587d79d773d8")
+
+
+def test_induced_grammars_of_long_tunes_match_recorded_digest():
+    rng = random.Random(11)
+    h = hashlib.sha256()
+    for make in (_long_strophic, _long_strophic, _random_walk, _random_walk):
+        t = make(rng, 5000)
+        for u in (t, to_intervals(t)):
+            h.update(render_grammar(induce(u)).encode())
+            h.update(b"\n")
+    assert h.hexdigest() == LONG_TUNES_DIGEST
+
+
 def test_induce_leaves_no_garbage_cycles():
     # Whatever induction builds on the way must be freed by reference
     # counting alone, or it lives on until a full collection.
@@ -325,20 +373,6 @@ def test_induce_leaves_no_garbage_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
-
-
-def test_grammars_equivalent_ignores_numbering():
-    a = parse_grammar("p0 -> p1 3 p1; p1 -> 1 2")
-    b = parse_grammar("p0 -> p7 3 p7; p7 -> 1 2")
-    assert grammars_equivalent(a, b)
-
-
-def test_grammars_equivalent_checks_structure_and_tune():
-    flat = parse_grammar("p0 -> 1 2 3")
-    factored = parse_grammar("p0 -> p1 3; p1 -> 1 2")
-    other = parse_grammar("p0 -> 1 2 4")
-    assert not grammars_equivalent(flat, factored)  # same tune, new split
-    assert not grammars_equivalent(flat, other)
 
 
 @pytest.mark.xfail(
