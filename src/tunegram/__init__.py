@@ -14,7 +14,7 @@ from .corpus import (
     load_mini_corpus,
     serialize_tune,
 )
-from .metrics import levenshtein, summarize_by_kind, trajectory_means
+from .metrics import levenshtein
 from .midi import NoteRangeError, export_midi
 from .model import (
     Grammar,
@@ -86,8 +86,6 @@ __all__ = [
     "run",
     "run_per_kind",
     "serialize_tune",
-    "summarize_by_kind",
     "to_intervals",
-    "trajectory_means",
     "validate_grammar",
 ]

@@ -16,7 +16,7 @@ from .corpus import load_corpus, write_tune
 from .metrics import levenshtein
 from .midi import export_midi
 from .model import MutationKind, Tune, TunegramError, render_grammar
-from .mutation import derive_seed
+from .mutation import DEFAULT_EXCLUDED, derive_seed
 from .pipeline import RunConfig, run, run_per_kind
 from .sequitur import induce, pai, to_intervals
 
@@ -160,6 +160,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="tunegram",
         description="Grammar-based tune analysis and mutation.")
     sub = parser.add_subparsers(dest="command", required=True)
+    exclude = dict(
+        default=",".join(str(int(k)) for k in sorted(DEFAULT_EXCLUDED)),
+        metavar="KINDS",
+        help="comma-separated kinds to skip (default %(default)s; 'none')")
 
     p = sub.add_parser("parse", help="print the induced grammar and its PAI")
     p.add_argument("tune_file")
@@ -175,8 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("tune_file")
     p.add_argument("--steps", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--exclude", default="18", metavar="KINDS",
-                   help="comma-separated kinds to skip (default 18; 'none')")
+    p.add_argument("--exclude", **exclude)
     p.add_argument("--kind", default=None,
                    help="force this mutation kind at every step")
     p.add_argument("--out", default=None, metavar="FILE",
@@ -206,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--steps", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--exclude", default="18", metavar="KINDS")
+    p.add_argument("--exclude", **exclude)
     p.add_argument("--out", required=True)
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=_cmd_trajectories)

@@ -48,14 +48,19 @@ def _parse_tune_file(path) -> Tune:
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
-        for m in _TOKEN.finditer(line):
-            tok = m.group()
-            try:
-                notes.append(int(tok))
-            except ValueError:
-                raise CorpusFormatError(
-                    path, lineno, m.start() + 1,
-                    f"expected an integer, got {tok!r}") from None
+        # str.split() and _TOKEN split on the same characters; the regex
+        # only rescans a bad line, to find the column of its bad token.
+        try:
+            notes.extend(map(int, line.replace(",", " ").split()))
+        except ValueError:
+            for m in _TOKEN.finditer(line):
+                tok = m.group()
+                try:
+                    int(tok)
+                except ValueError:
+                    raise CorpusFormatError(
+                        path, lineno, m.start() + 1,
+                        f"expected an integer, got {tok!r}") from None
     return tuple(notes)
 
 

@@ -1,4 +1,4 @@
-"""Edit distance and experiment summary statistics.
+"""Edit distance between tunes.
 
 Edit distance is computed on raw note sequences, not on grammars: the
 question being asked is how much a tune changed on the surface, however
@@ -7,11 +7,7 @@ its structure was rearranged underneath.
 
 from __future__ import annotations
 
-import statistics
-from dataclasses import dataclass
-from typing import Iterable, Sequence
-
-from .model import MutationKind
+from typing import Sequence
 
 #: Which levenshtein kernel is active.  There is one, in pure Python.
 ACTIVE_BACKEND = "python"
@@ -93,77 +89,3 @@ def levenshtein(a: Sequence[int], b: Sequence[int]) -> int:
         mv = ph & xv
     return dist
 
-
-@dataclass(frozen=True)
-class KindSummary:
-    """Five-number summary plus mean of edit distances for one kind.
-
-    A kind with no measurements has count 0 and None statistics.
-    """
-
-    kind: MutationKind
-    count: int
-    min: int | None
-    q1: float | None
-    median: float | None
-    q3: float | None
-    max: int | None
-    mean: float | None
-
-    @classmethod
-    def from_values(cls, kind: MutationKind, values: Sequence[int]) -> KindSummary:
-        n = len(values)
-        if n == 0:
-            return cls(kind, 0, None, None, None, None, None, None)
-        if n == 1:
-            v = values[0]
-            return cls(kind, 1, v, float(v), float(v), float(v), v, float(v))
-        q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
-        return cls(kind, n, min(values), q1, med, q3, max(values),
-                   statistics.fmean(values))
-
-
-def summarize_by_kind(
-    measurements: Iterable[tuple[MutationKind, int]],
-) -> dict[MutationKind, KindSummary]:
-    """Group (kind, ED) samples and summarize each of the 19 kinds.
-
-    Quantiles use linear interpolation between closest ranks (the
-    "inclusive" method), so summaries are reproducible bit for bit.
-    """
-    buckets: dict[MutationKind, list[int]] = {k: [] for k in MutationKind}
-    for kind, ed in measurements:
-        buckets[MutationKind(kind)].append(int(ed))
-    return {k: KindSummary.from_values(k, vals) for k, vals in buckets.items()}
-
-
-@dataclass(frozen=True)
-class TrajectoryMeans:
-    """Per-step arithmetic means over a batch of runs."""
-
-    steps: tuple[int, ...]
-    ed_vs_original: tuple[float, ...]
-    length: tuple[float, ...]
-    pai: tuple[float, ...]
-
-
-def trajectory_means(results: Iterable) -> TrajectoryMeans:
-    """Average ed_vs_original, length and pai across runs, step by step.
-
-    All runs must have trajectories of the same length.
-    """
-    batch = list(results)
-    if not batch:
-        raise ValueError("no run results to average")
-    lengths = {len(r.trajectory) for r in batch}
-    if len(lengths) != 1:
-        raise ValueError(f"trajectory lengths differ: {sorted(lengths)}")
-    steps = tuple(rec.step for rec in batch[0].trajectory)
-    eds = []
-    lens = []
-    pais = []
-    for i in range(len(steps)):
-        eds.append(statistics.fmean(r.trajectory[i].ed_vs_original for r in batch))
-        lens.append(statistics.fmean(r.trajectory[i].length for r in batch))
-        pais.append(statistics.fmean(r.trajectory[i].pai for r in batch))
-    return TrajectoryMeans(steps, tuple(eds), tuple(lens), tuple(pais))

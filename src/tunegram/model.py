@@ -436,34 +436,37 @@ def validate_grammar(g: Grammar) -> ValidationReport:
 class MutationKind(enum.IntEnum):
     """The structure-level mutation operators, indexed 1 to 19.
 
-    Short codes follow the add/remove/move/swap taxonomy used in the
+    Each member is its index and carries its short code (``kind.code``).
+    The codes follow the add/remove/move/swap taxonomy used in the
     musicology literature (1A* act on rule references, 1B* on notes,
     1C* mix the two, 1D and 2A* act on whole rules).
     """
 
-    ADD_RULE_REF = 1           # 1A1
-    REMOVE_RULE_REF = 2        # 1A2
-    MOVE_RULE_REF_WITHIN = 3   # 1A3A
-    MOVE_RULE_REF_ACROSS = 4   # 1A3B
-    SWAP_RULE_REFS_WITHIN = 5  # 1A4A
-    SWAP_RULE_REFS_ACROSS = 6  # 1A4B
-    ADD_NOTE = 7               # 1B1
-    REMOVE_NOTE = 8            # 1B2
-    MOVE_NOTE_WITHIN = 9       # 1B3A
-    MOVE_NOTE_ACROSS = 10      # 1B3B
-    SWAP_NOTES_WITHIN = 11     # 1B4A
-    SWAP_NOTES_ACROSS = 12     # 1B4B
-    SWAP_REF_WITH_NOTE = 13    # 1C1A
-    SWAP_REF_WITH_NOTE_ACROSS = 14  # 1C1B
-    REVERSE_RULE = 15          # 1C2
-    REVERSE_SPAN = 16          # 1C3
-    SWAP_DEFINITIONS = 17      # 1D
-    ADD_RULE = 18              # 2A1
-    REMOVE_RULE = 19           # 2A2
+    ADD_RULE_REF = 1, "1A1"
+    REMOVE_RULE_REF = 2, "1A2"
+    MOVE_RULE_REF_WITHIN = 3, "1A3A"
+    MOVE_RULE_REF_ACROSS = 4, "1A3B"
+    SWAP_RULE_REFS_WITHIN = 5, "1A4A"
+    SWAP_RULE_REFS_ACROSS = 6, "1A4B"
+    ADD_NOTE = 7, "1B1"
+    REMOVE_NOTE = 8, "1B2"
+    MOVE_NOTE_WITHIN = 9, "1B3A"
+    MOVE_NOTE_ACROSS = 10, "1B3B"
+    SWAP_NOTES_WITHIN = 11, "1B4A"
+    SWAP_NOTES_ACROSS = 12, "1B4B"
+    SWAP_REF_WITH_NOTE = 13, "1C1A"
+    SWAP_REF_WITH_NOTE_ACROSS = 14, "1C1B"
+    REVERSE_RULE = 15, "1C2"
+    REVERSE_SPAN = 16, "1C3"
+    SWAP_DEFINITIONS = 17, "1D"
+    ADD_RULE = 18, "2A1"
+    REMOVE_RULE = 19, "2A2"
 
-    @property
-    def code(self) -> str:
-        return _KIND_CODES[self]
+    def __new__(cls, value: int, code: str) -> MutationKind:
+        kind = int.__new__(cls, value)
+        kind._value_ = value
+        kind.code = code
+        return kind
 
     @classmethod
     def from_code(cls, code: str) -> MutationKind:
@@ -484,28 +487,7 @@ class MutationKind(enum.IntEnum):
         return cls.from_code(text)
 
 
-_KIND_CODES: dict[MutationKind, str] = {
-    MutationKind.ADD_RULE_REF: "1A1",
-    MutationKind.REMOVE_RULE_REF: "1A2",
-    MutationKind.MOVE_RULE_REF_WITHIN: "1A3A",
-    MutationKind.MOVE_RULE_REF_ACROSS: "1A3B",
-    MutationKind.SWAP_RULE_REFS_WITHIN: "1A4A",
-    MutationKind.SWAP_RULE_REFS_ACROSS: "1A4B",
-    MutationKind.ADD_NOTE: "1B1",
-    MutationKind.REMOVE_NOTE: "1B2",
-    MutationKind.MOVE_NOTE_WITHIN: "1B3A",
-    MutationKind.MOVE_NOTE_ACROSS: "1B3B",
-    MutationKind.SWAP_NOTES_WITHIN: "1B4A",
-    MutationKind.SWAP_NOTES_ACROSS: "1B4B",
-    MutationKind.SWAP_REF_WITH_NOTE: "1C1A",
-    MutationKind.SWAP_REF_WITH_NOTE_ACROSS: "1C1B",
-    MutationKind.REVERSE_RULE: "1C2",
-    MutationKind.REVERSE_SPAN: "1C3",
-    MutationKind.SWAP_DEFINITIONS: "1D",
-    MutationKind.ADD_RULE: "2A1",
-    MutationKind.REMOVE_RULE: "2A2",
-}
-_CODE_KINDS = {code: kind for kind, code in _KIND_CODES.items()}
+_CODE_KINDS = {kind.code: kind for kind in MutationKind}
 
 
 # ---------------------------------------------------------------------------

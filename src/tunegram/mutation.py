@@ -2,9 +2,7 @@
 
 Operators edit a grammar's structure, never expanding it first.  They
 fall into families: 1-6 act on rule references, 7-12 on notes, 13-16
-mix or reorder the two, 17-19 act on whole rules.  ``KIND_EFFECT``
-classifies each kind by whether it adds material, removes material, or
-only rearranges it.
+mix or reorder the two, 17-19 act on whole rules.
 
 A mutation is decided on its target, a tuple naming the rules,
 positions and symbols the edit uses (shapes in :func:`apply_mutation`),
@@ -71,28 +69,9 @@ MAX_ATTEMPTS = 100
 NEW_RULE_MIN_LEN = 2
 NEW_RULE_MAX_LEN = 8
 
-#: What each kind does to the amount of material in the grammar.
-KIND_EFFECT: dict[MutationKind, str] = {
-    MutationKind.ADD_RULE_REF: "adds",
-    MutationKind.REMOVE_RULE_REF: "removes",
-    MutationKind.MOVE_RULE_REF_WITHIN: "rearranges",
-    MutationKind.MOVE_RULE_REF_ACROSS: "rearranges",
-    MutationKind.SWAP_RULE_REFS_WITHIN: "rearranges",
-    MutationKind.SWAP_RULE_REFS_ACROSS: "rearranges",
-    MutationKind.ADD_NOTE: "adds",
-    MutationKind.REMOVE_NOTE: "removes",
-    MutationKind.MOVE_NOTE_WITHIN: "rearranges",
-    MutationKind.MOVE_NOTE_ACROSS: "rearranges",
-    MutationKind.SWAP_NOTES_WITHIN: "rearranges",
-    MutationKind.SWAP_NOTES_ACROSS: "rearranges",
-    MutationKind.SWAP_REF_WITH_NOTE: "rearranges",
-    MutationKind.SWAP_REF_WITH_NOTE_ACROSS: "rearranges",
-    MutationKind.REVERSE_RULE: "rearranges",
-    MutationKind.REVERSE_SPAN: "rearranges",
-    MutationKind.SWAP_DEFINITIONS: "rearranges",
-    MutationKind.ADD_RULE: "adds",
-    MutationKind.REMOVE_RULE: "removes",
-}
+#: Kind 18 is left out of random draws by default: new-rule injection
+#: drowns out every other operator's effect in generated tunes.
+DEFAULT_EXCLUDED = frozenset({MutationKind.ADD_RULE})
 
 
 class InapplicableMutationError(TunegramError):
@@ -682,14 +661,12 @@ def random_mutation(
     g: Grammar,
     alphabet: NoteAlphabet,
     rng: RandomSource,
-    excluded: frozenset[MutationKind] = frozenset({MutationKind.ADD_RULE}),
+    excluded: frozenset[MutationKind] = DEFAULT_EXCLUDED,
 ) -> MutationOutcome:
     """Draw a kind uniformly from the non-excluded kinds and apply it.
 
     Inapplicable kinds are redrawn without replacement, so the chosen
-    kind is uniform over the applicable non-excluded ones.  Kind 18 is
-    excluded by default (new-rule injection drowns out every other
-    operator's effect in generated tunes).
+    kind is uniform over the applicable non-excluded ones.
     """
     excluded = frozenset(MutationKind(k) for k in excluded)
     pool = [k for k in MutationKind if k not in excluded]

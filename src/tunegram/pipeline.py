@@ -22,6 +22,7 @@ from .model import (
     TunegramError,
 )
 from .mutation import (
+    DEFAULT_EXCLUDED,
     RandomSource,
     applicable,
     apply_mutation,
@@ -29,9 +30,6 @@ from .mutation import (
     random_mutation,
 )
 from .sequitur import expand, induce, pai
-
-#: Kind 18 is left out of generation runs by default; see RunConfig.
-DEFAULT_EXCLUDED = frozenset({MutationKind.ADD_RULE})
 
 
 class StepFailedError(TunegramError):
@@ -69,7 +67,10 @@ class RunResult:
     original: Tune
     final: Tune
     trajectory: tuple[TrajectoryRecord, ...]
-    kinds_applied: tuple[MutationKind, ...]
+
+    @property
+    def kinds_applied(self) -> tuple[MutationKind, ...]:
+        return tuple(r.kind for r in self.trajectory)
 
 
 def run(
@@ -93,7 +94,6 @@ def run(
     current = original
     grammar = induce(current)
     records: list[TrajectoryRecord] = []
-    kinds: list[MutationKind] = []
     for step_no in range(1, cfg.steps + 1):
         try:
             if kind is not None:
@@ -112,9 +112,8 @@ def run(
             length=len(new_tune),
             pai=pai(grammar),
         ))
-        kinds.append(outcome.kind)
         current = new_tune
-    return RunResult(original, current, tuple(records), tuple(kinds))
+    return RunResult(original, current, tuple(records))
 
 
 def run_per_kind(t: Sequence[int], seed: int) -> dict[MutationKind, int]:

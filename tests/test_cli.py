@@ -213,10 +213,11 @@ def test_pool_is_no_larger_than_the_job_list(corpus_dir, tmp_path, capsys,
 
 
 def test_import_leaves_out_the_process_pool():
-    # The pool's modules load only when a run uses more than one worker.
+    # The pool's modules load only when a run uses more than one worker,
+    # and no module of the package needs statistics.
     code = ("import sys, tunegram.cli; "
-            "print(sorted({'multiprocessing', 'concurrent.futures.process'}"
-            " & set(sys.modules)))")
+            "print(sorted({'multiprocessing', 'concurrent.futures.process',"
+            " 'statistics'} & set(sys.modules)))")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True,
                           env={**os.environ, "PYTHONPATH": SRC})

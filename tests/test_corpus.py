@@ -3,6 +3,7 @@
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 import zipfile
@@ -15,6 +16,7 @@ import hypothesis.strategies as st
 import tunegram
 from tunegram.corpus import (
     CorpusFormatError,
+    _parse_tune_file,
     load_corpus,
     load_mini_corpus,
     serialize_tune,
@@ -117,6 +119,51 @@ def test_any_tune_survives_serialization(tmp_path_factory, t):
     write_tune(t, d / "t.txt")
     (got,) = load_corpus(d / "t.txt")
     assert got.tune == tuple(t)
+
+
+class _Text:
+    """Stands in for a tune file's path: only read_text is used."""
+
+    def __init__(self, text):
+        self.text = text
+
+    def read_text(self, encoding):
+        return self.text
+
+    def __str__(self):
+        return "tune.txt"
+
+
+def _regex_parse(path):
+    """Tokenize every line with the regex: the oracle for the parser's
+    split-based fast path."""
+    notes = []
+    for lineno, line in enumerate(path.read_text("utf-8").splitlines(), 1):
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        for m in re.finditer(r"[^\s,]+", line):
+            try:
+                notes.append(int(m.group()))
+            except ValueError:
+                raise CorpusFormatError(
+                    path, lineno, m.start() + 1,
+                    f"expected an integer, got {m.group()!r}") from None
+    return tuple(notes)
+
+
+def _outcome(parse, path):
+    try:
+        return parse(path)
+    except CorpusFormatError as exc:
+        return exc.line, exc.column, str(exc)
+
+
+@given(st.lists(st.text("0123456789+-,#ab \u00a0\u2003\x1c", max_size=20),
+                max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_split_parser_matches_regex_tokenizer(lines):
+    path = _Text("\n".join(lines))
+    assert _outcome(_parse_tune_file, path) == _outcome(_regex_parse, path)
 
 
 # ---------------------------------------------------------------------------

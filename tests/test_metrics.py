@@ -1,4 +1,4 @@
-"""Edit distance kernels and summary statistics."""
+"""Edit distance kernels."""
 
 import functools
 import random
@@ -7,15 +7,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from tunegram.metrics import (
-    ACTIVE_BACKEND,
-    KindSummary,
-    _levenshtein_py,
-    levenshtein,
-    summarize_by_kind,
-    trajectory_means,
-)
-from tunegram.model import MutationKind
+from tunegram.metrics import ACTIVE_BACKEND, _levenshtein_py, levenshtein
 
 
 def encode(word):
@@ -182,66 +174,3 @@ def test_affix_stripping_edges():
 
 def test_backend_is_reported():
     assert ACTIVE_BACKEND == "python"
-
-
-# ---------------------------------------------------------------------------
-# summaries
-
-
-def test_singleton_summary():
-    out = summarize_by_kind([(MutationKind.ADD_NOTE, 5)])
-    s = out[MutationKind.ADD_NOTE]
-    assert (s.min, s.q1, s.median, s.q3, s.max, s.mean) == (5, 5.0, 5.0, 5.0, 5, 5.0)
-    assert s.count == 1
-
-
-def test_quartiles_by_interpolation():
-    out = summarize_by_kind([(17, 1), (17, 2), (17, 3), (17, 4)])
-    s = out[MutationKind.SWAP_DEFINITIONS]
-    assert s.median == 2.5
-    assert s.q1 == 1.75
-    assert s.q3 == 3.25
-    assert s.mean == 2.5
-
-
-def test_empty_measurements_yield_19_empty_summaries():
-    out = summarize_by_kind([])
-    assert set(out) == set(MutationKind)
-    assert all(s.count == 0 and s.median is None for s in out.values())
-
-
-def test_summary_ordering_invariant():
-    rnd = random.Random(5)
-    values = [rnd.randint(0, 80) for _ in range(37)]
-    s = KindSummary.from_values(MutationKind.ADD_RULE, values)
-    assert s.min <= s.q1 <= s.median <= s.q3 <= s.max
-    assert s.count == 37
-
-
-class _FakeRun:
-    def __init__(self, series):
-        self.trajectory = [
-            type("Rec", (), {"step": i + 1, "ed_vs_original": v,
-                             "length": v * 2, "pai": v * 3})()
-            for i, v in enumerate(series)
-        ]
-
-
-def test_trajectory_means_single():
-    m = trajectory_means([_FakeRun([1, 2, 3])])
-    assert m.steps == (1, 2, 3)
-    assert m.ed_vs_original == (1.0, 2.0, 3.0)
-    assert m.length == (2.0, 4.0, 6.0)
-    assert m.pai == (3.0, 6.0, 9.0)
-
-
-def test_trajectory_means_averages():
-    m = trajectory_means([_FakeRun([10, 10]), _FakeRun([20, 20])])
-    assert m.ed_vs_original == (15.0, 15.0)
-
-
-def test_trajectory_means_rejects_mismatch():
-    with pytest.raises(ValueError):
-        trajectory_means([_FakeRun([1]), _FakeRun([1, 2])])
-    with pytest.raises(ValueError):
-        trajectory_means([])

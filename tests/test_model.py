@@ -61,6 +61,8 @@ def test_kind_parse_rejects(text):
 def test_from_code_round_trip():
     for kind in MutationKind:
         assert MutationKind.from_code(kind.code) is kind
+        assert pickle.loads(pickle.dumps(kind)) is kind
+        assert MutationKind(int(kind)) is kind
 
 
 def test_format_symbol():

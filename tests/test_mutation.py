@@ -22,7 +22,6 @@ from tunegram.model import (
     validate_grammar,
 )
 from tunegram.mutation import (
-    KIND_EFFECT,
     InapplicableMutationError,
     MutationTargetError,
     NoApplicableMutationError,
@@ -116,18 +115,6 @@ def test_derive_seed_is_order_sensitive_and_in_range():
 
 def test_derive_seed_feeds_random_source():
     RandomSource(derive_seed(789, 10, 2))  # must not raise
-
-
-# ---------------------------------------------------------------------------
-# kind classification
-
-
-def test_kind_effect_covers_all_kinds():
-    assert set(KIND_EFFECT) == set(MutationKind)
-    assert {int(k) for k, e in KIND_EFFECT.items() if e == "adds"} == {1, 7, 18}
-    assert {int(k) for k, e in KIND_EFFECT.items() if e == "removes"} == {2, 8, 19}
-    rest = {int(k) for k, e in KIND_EFFECT.items() if e == "rearranges"}
-    assert rest == {3, 4, 5, 6, 9, 10, 11, 12, 13, 14, 15, 16, 17}
 
 
 # ---------------------------------------------------------------------------
