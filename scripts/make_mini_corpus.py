@@ -135,8 +135,7 @@ def make_checked(seed: int) -> tuple[int, ...] | None:
         g = induce(t)
         if len(g) != N_PHRASES + 2:
             continue
-        expansions = sorted(len(expand_rule(g, r.rule_id))
-                            for r in g if r.rule_id)
+        expansions = sorted(len(expand_rule(g, r)) for r in g.rhs if r)
         if expansions != sorted([len(p) for p in phrases] + [len(motif)]):
             continue
         if any(not applicable(g, k) for k in MutationKind):

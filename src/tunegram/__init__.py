@@ -21,7 +21,6 @@ from .model import (
     GrammarStructureError,
     MutationKind,
     NoteAlphabet,
-    Rule,
     RuleRef,
     Symbol,
     Terminal,
@@ -59,7 +58,6 @@ __all__ = [
     "NoteAlphabet",
     "NoteRangeError",
     "RandomSource",
-    "Rule",
     "RuleRef",
     "RunConfig",
     "RunResult",

@@ -15,7 +15,13 @@ from typing import Callable, Iterable, Sequence
 from .corpus import load_corpus, write_tune
 from .metrics import levenshtein
 from .midi import export_midi
-from .model import MutationKind, Tune, TunegramError, render_grammar
+from .model import (
+    MutationKind,
+    TrajectoryRecord,
+    Tune,
+    TunegramError,
+    render_grammar,
+)
 from .mutation import DEFAULT_EXCLUDED, derive_seed
 from .pipeline import RunConfig, run, run_per_kind
 from .sequitur import induce, pai, to_intervals
@@ -27,6 +33,12 @@ def _parse_excluded(text: str) -> frozenset[MutationKind]:
     if text.strip().lower() in ("", "none"):
         return frozenset()
     return frozenset(MutationKind.parse(part) for part in text.split(","))
+
+
+def _trajectory_row(r: TrajectoryRecord) -> tuple[int, ...]:
+    """One ``TRAJECTORY_HEADER`` row."""
+    return (r.step, int(r.kind), r.ed_vs_original, r.ed_vs_previous,
+            r.length, r.pai)
 
 
 def _load_tune(path: str) -> Tune:
@@ -68,8 +80,7 @@ def _cmd_mutate(args: argparse.Namespace) -> int:
     result = run(t, cfg, kind=kind)
     print(TRAJECTORY_HEADER)
     for r in result.trajectory:
-        print(f"{r.step},{int(r.kind)},{r.ed_vs_original},"
-              f"{r.ed_vs_previous},{r.length},{r.pai}")
+        print(",".join(map(str, _trajectory_row(r))))
     if args.out:
         write_tune(result.final, args.out)
     if args.midi:
@@ -123,8 +134,7 @@ def _trajectory_job(job: tuple[Tune, int, int, tuple[int, ...]]) -> list[tuple]:
     notes, steps, seed, excluded = job
     cfg = RunConfig(steps=steps, seed=seed, excluded=excluded)
     result = run(tuple(notes), cfg)
-    return [(r.step, int(r.kind), r.ed_vs_original, r.ed_vs_previous,
-             r.length, r.pai) for r in result.trajectory]
+    return [_trajectory_row(r) for r in result.trajectory]
 
 
 def _cmd_trajectories(args: argparse.Namespace) -> int:

@@ -1,4 +1,4 @@
-"""Core value types: tunes, grammar symbols, rules, grammars, mutation kinds.
+"""Core value types: tunes, grammar symbols, grammars, mutation kinds.
 
 A tune is a plain sequence of integer pitches.  A grammar is a flat
 context-free grammar over those integers: rule 0 is the start rule and
@@ -6,14 +6,14 @@ every other rule must be referenced at least twice for the grammar to be
 in canonical (Sequitur) form.  Everything here is immutable; mutation
 operators build new grammars rather than editing in place.
 
-A :class:`Grammar` stores its rules once, as the id-ordered ``rhs``
-map.  It owns every view derived from them, each computed once, on
-first read, and shared by every caller: the rules as :class:`Rule`
-objects (``rules``), its walk of the reference graph (``walk``, one
-:func:`postorder` over every rule, which also records empty rhs and
-missing references), its reachability sets (``reach``), its symbol
-occurrences (``occurrences``) and its mutation applicability answers.
-Validation, expansion and ``reach`` all read the one walk.
+A :class:`Grammar` is its rules, stored once, as the id-ordered ``rhs``
+map from rule id to rhs.  It owns every view derived from them, each
+computed once, on first read, and shared by every caller: its walk of
+the reference graph (``walk``, one :func:`postorder` over every rule,
+which also records empty rhs and missing references), its reachability
+sets (``reach``), its symbol occurrences (``occurrences``) and its
+mutation applicability answers.  Validation, expansion and ``reach``
+all read the one walk.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ class UnknownRuleError(GrammarStructureError):
 
 
 # ---------------------------------------------------------------------------
-# symbols and rules
+# symbols
 
 
 @dataclass(frozen=True, slots=True)
@@ -78,49 +78,34 @@ def format_symbol(sym: Symbol) -> str:
     return f"p{sym.rule_id}"
 
 
-@dataclass(frozen=True, slots=True)
-class Rule:
-    """One production: ``rule_id -> rhs``.  The rhs is never empty."""
-
-    rule_id: int
-    rhs: tuple[Symbol, ...]
-
-    def __post_init__(self) -> None:
-        if self.rule_id < 0:
-            raise ValueError(f"rule id must be non-negative, got {self.rule_id}")
-
-
 # ---------------------------------------------------------------------------
 # grammars
 
 
-@dataclass(frozen=True, init=False, repr=False)
+@dataclass(frozen=True, init=False)
 class Grammar:
     """An immutable set of rules indexed by id, with rule 0 as the root.
 
     ``rhs`` maps each rule id to its rhs, in id order, and is the one
-    stored copy of the rules; treat it as read-only.  ``rules``, the
-    same rules as :class:`Rule` objects sorted by id, is a view built on
-    first read.  ``_applicable`` memoises
-    :func:`tunegram.mutation.applicable` one kind at a time, as kinds
-    are asked about; like the cached views below it is a fact of the
-    rules, never compared.  Use :func:`validate_grammar` to check
-    structural validity and canonicality; the constructor only rejects
-    duplicate ids so that invalid intermediate grammars can still be
-    represented (mutation candidates are validated separately).
+    stored copy of the rules; treat it as read-only.  ``_applicable``
+    memoises :func:`tunegram.mutation.applicable` one kind at a time,
+    as kinds are asked about; like the cached views below it is a fact
+    of the rules, never compared.  Use :func:`validate_grammar` to
+    check structural validity and canonicality; the constructor only
+    rejects negative ids so that invalid intermediate grammars can
+    still be represented (mutation candidates are validated
+    separately).
     """
 
     rhs: dict[int, tuple[Symbol, ...]]
-    _applicable: dict[MutationKind, bool] = field(compare=False)
+    _applicable: dict[MutationKind, bool] = field(compare=False, repr=False)
 
-    def __init__(self, rules: Iterable[Rule]) -> None:
-        ordered = sorted(rules, key=lambda r: r.rule_id)
-        rhs = {r.rule_id: r.rhs for r in ordered}
-        if len(rhs) != len(ordered):
-            counts = Counter(r.rule_id for r in ordered)
-            dupes = sorted(i for i, n in counts.items() if n > 1)
-            raise ValueError(f"duplicate rule ids: {dupes}")
-        self.__dict__.update(rhs=rhs, _applicable={})
+    def __init__(self, rhs: Mapping[int, Iterable[Symbol]]) -> None:
+        """Take ``{id: rhs}`` in any id order, with any iterable rhs."""
+        ids = sorted(rhs)
+        if ids and ids[0] < 0:
+            raise ValueError(f"rule id must be non-negative, got {ids[0]}")
+        self.__dict__.update(rhs={i: tuple(rhs[i]) for i in ids}, _applicable={})
 
     @classmethod
     def _from_rhs(cls, rhs: dict[int, tuple[Symbol, ...]]) -> Grammar:
@@ -133,9 +118,6 @@ class Grammar:
     def __hash__(self) -> int:
         return hash(tuple(self.rhs.items()))
 
-    def __repr__(self) -> str:
-        return f"Grammar(rules={self.rules!r})"
-
     @classmethod
     def from_mapping(cls, mapping: Mapping[int, Iterable[Symbol | int | str]]) -> Grammar:
         """Build a grammar from ``{id: rhs}`` with a little sugar.
@@ -143,10 +125,10 @@ class Grammar:
         In the rhs, plain ints become terminals and strings like ``"p3"``
         become rule references.  Handy for tests and fixtures.
         """
-        rules = []
-        for rule_id, rhs in mapping.items():
-            symbols: list[Symbol] = []
-            for item in rhs:
+        rhs: dict[int, list[Symbol]] = {}
+        for rule_id, items in mapping.items():
+            symbols = rhs[rule_id] = []
+            for item in items:
                 if isinstance(item, (Terminal, RuleRef)):
                     symbols.append(item)
                 elif isinstance(item, int):
@@ -155,27 +137,7 @@ class Grammar:
                     symbols.append(RuleRef(int(item[1:])))
                 else:
                     raise ValueError(f"cannot interpret rhs item {item!r}")
-            rules.append(Rule(rule_id, tuple(symbols)))
-        return cls(tuple(rules))
-
-    def rule(self, rule_id: int) -> Rule:
-        try:
-            return Rule(rule_id, self.rhs[rule_id])
-        except KeyError:
-            raise UnknownRuleError(f"no rule with id {rule_id}") from None
-
-    @property
-    def root(self) -> Rule:
-        return self.rule(ROOT_ID)
-
-    def rule_ids(self) -> tuple[int, ...]:
-        return tuple(self.rhs)
-
-    @functools.cached_property
-    def rules(self) -> tuple[Rule, ...]:
-        """The rules as :class:`Rule` objects, sorted by id; read-only,
-        built on first read."""
-        return tuple([Rule(i, rhs) for i, rhs in self.rhs.items()])
+        return cls(rhs)
 
     @functools.cached_property
     def walk(self) -> tuple[list[int], list[int] | None,
@@ -228,9 +190,6 @@ class Grammar:
     def __len__(self) -> int:
         return len(self.rhs)
 
-    def __iter__(self) -> Iterator[Rule]:
-        return iter(self.rules)
-
 
 def reference_counts(g: Grammar) -> Counter[int]:
     """How many times each rule id is referenced across all rhs."""
@@ -259,7 +218,7 @@ def render_grammar(g: Grammar) -> str:
 
 def parse_grammar(text: str) -> Grammar:
     """Inverse of :func:`render_grammar` (also accepts ``;`` separators)."""
-    rules = []
+    rules: dict[int, tuple[Symbol, ...]] = {}
     for chunk in re.split(r"[;\n]", text):
         line = chunk.strip()
         if not line:
@@ -270,6 +229,9 @@ def parse_grammar(text: str) -> Grammar:
         m = re.fullmatch(r"p(\d+)", head.strip())
         if not m:
             raise ValueError(f"bad rule head {head.strip()!r}")
+        rule_id = int(m.group(1))
+        if rule_id in rules:
+            raise ValueError(f"duplicate rule id p{rule_id}")
         symbols: list[Symbol] = []
         for tok in body.split():
             ref = re.fullmatch(r"p(\d+)", tok)
@@ -277,8 +239,8 @@ def parse_grammar(text: str) -> Grammar:
                 symbols.append(RuleRef(int(ref.group(1))))
             else:
                 symbols.append(Terminal(int(tok)))
-        rules.append(Rule(int(m.group(1)), tuple(symbols)))
-    return Grammar(tuple(rules))
+        rules[rule_id] = tuple(symbols)
+    return Grammar(rules)
 
 
 # ---------------------------------------------------------------------------

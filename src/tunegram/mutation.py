@@ -31,10 +31,10 @@ in the grammar before the edit (:attr:`~tunegram.model.Grammar.reach`).
 A kind is applicable iff some target fits; kinds 6 and 17 count their
 failing pairs instead of scanning them.  Only the accepted target is
 applied by ``_edit``, to one copy of the rhs map, which the new grammar
-takes as its own, in id order and with no :class:`~tunegram.model.Rule`
-objects.  The result goes through ``validate_grammar``'s structural
-check once, as a safety net against structurally invalid input; that
-check reads the new grammar's one walk, which ``expand`` reuses.
+takes as its own, in id order.  The result goes through
+``validate_grammar``'s structural check once, as a safety net against
+structurally invalid input; that check reads the new grammar's one
+walk, which ``expand`` reuses.
 
 Everything read off the input grammar (``rhs``, ``walk``, ``reach``,
 the ``occurrences`` that draws and target lists read, and each kind's
@@ -47,7 +47,7 @@ import random
 import struct
 from _blake2 import blake2b  # hashlib's own; importing hashlib loads OpenSSL
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .model import (
     ROOT_ID,
@@ -657,6 +657,16 @@ def apply_mutation(
     return MutationOutcome(kind, grammar, tuple(touched), attempts)
 
 
+def _draw_pool(excluded: Iterable[int]) -> list[MutationKind]:
+    """The kinds not in ``excluded``, in index order; excluding every
+    kind is a ``ValueError``."""
+    excluded = frozenset(MutationKind(k) for k in excluded)
+    pool = [k for k in MutationKind if k not in excluded]
+    if not pool:
+        raise ValueError("cannot exclude every mutation kind")
+    return pool
+
+
 def random_mutation(
     g: Grammar,
     alphabet: NoteAlphabet,
@@ -668,10 +678,7 @@ def random_mutation(
     Inapplicable kinds are redrawn without replacement, so the chosen
     kind is uniform over the applicable non-excluded ones.
     """
-    excluded = frozenset(MutationKind(k) for k in excluded)
-    pool = [k for k in MutationKind if k not in excluded]
-    if not pool:
-        raise ValueError("cannot exclude every mutation kind")
+    pool = _draw_pool(excluded)
     while pool:
         kind = pool.pop(rng.below(len(pool)))
         try:

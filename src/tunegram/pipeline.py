@@ -24,6 +24,7 @@ from .model import (
 from .mutation import (
     DEFAULT_EXCLUDED,
     RandomSource,
+    _draw_pool,
     applicable,
     apply_mutation,
     derive_seed,
@@ -56,9 +57,7 @@ class RunConfig:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
-        excluded = frozenset(MutationKind(k) for k in self.excluded)
-        if len(excluded) >= len(MutationKind):
-            raise ValueError("cannot exclude every mutation kind")
+        excluded = frozenset(MutationKind).difference(_draw_pool(self.excluded))
         object.__setattr__(self, "excluded", excluded)
 
 

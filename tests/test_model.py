@@ -13,7 +13,6 @@ from tunegram.model import (
     Grammar,
     MutationKind,
     NoteAlphabet,
-    Rule,
     RuleRef,
     Terminal,
     format_symbol,
@@ -24,6 +23,8 @@ from tunegram.model import (
     validate_grammar,
 )
 from tunegram.model import EmptyTuneError, UnknownRuleError
+from tunegram.mutation import applicable
+from tunegram.sequitur import expand_rule
 
 
 KIND_CODES = {
@@ -72,29 +73,37 @@ def test_format_symbol():
 
 def test_rule_rejects_negative_id():
     with pytest.raises(ValueError):
-        Rule(-1, (Terminal(0),))
+        Grammar({-1: (Terminal(0),)})
 
 
 def test_grammar_sorts_and_indexes():
-    g = Grammar((Rule(2, (Terminal(5),)),
-                 Rule(0, (RuleRef(2), RuleRef(2)))))
-    assert g.rule_ids() == (0, 2)
-    assert g.root.rule_id == 0
+    g = Grammar({2: (Terminal(5),), 0: (RuleRef(2), RuleRef(2))})
+    assert tuple(g.rhs) == (0, 2)
     assert 2 in g and 1 not in g
     assert len(g) == 2
     with pytest.raises(UnknownRuleError):
-        g.rule(7)
+        expand_rule(g, 7)
+    # The constructor normalises: any id order and any iterable rhs give
+    # the same grammar, so equal grammars hash and render alike.
+    reverse = Grammar({2: [Terminal(1), Terminal(5)], 1: [Terminal(4)],
+                       0: [RuleRef(1), RuleRef(2), RuleRef(1)]})
+    ordered = Grammar({0: (RuleRef(1), RuleRef(2), RuleRef(1)),
+                       1: (Terminal(4),), 2: (Terminal(1), Terminal(5))})
+    applicable(reverse, MutationKind.ADD_NOTE)  # memoised, never compared
+    assert reverse == ordered and hash(reverse) == hash(ordered)
+    assert render_grammar(reverse) == render_grammar(ordered)
+    assert "rhs=" in repr(reverse) and "_applicable" not in repr(reverse)
 
 
 def test_grammar_rejects_duplicate_ids():
     with pytest.raises(ValueError, match="duplicate"):
-        Grammar((Rule(0, (Terminal(1),)), Rule(0, (Terminal(2),))))
+        parse_grammar("p0 -> 1; p0 -> 2")
 
 
 def test_from_mapping_sugar():
     g = Grammar.from_mapping({0: ["p1", 3, "p1"], 1: [1, 2]})
-    assert g.rule(0).rhs == (RuleRef(1), Terminal(3), RuleRef(1))
-    assert g.rule(1).rhs == (Terminal(1), Terminal(2))
+    assert g.rhs[0] == (RuleRef(1), Terminal(3), RuleRef(1))
+    assert g.rhs[1] == (Terminal(1), Terminal(2))
     with pytest.raises(ValueError):
         Grammar.from_mapping({0: ["q1"]})
 
@@ -106,7 +115,7 @@ def test_grammar_pickles_before_and_after_reach_is_read():
     assert g.reach == {0: frozenset({1, 2}), 1: frozenset(), 2: frozenset({1})}
     copy = pickle.loads(pickle.dumps(g))
     assert copy == g and copy.rhs == g.rhs and copy.reach == g.reach
-    assert copy.rule(2) == g.rule(2) and copy.rule_ids() == (0, 1, 2)
+    assert copy.rhs[2] == g.rhs[2] and tuple(copy.rhs) == (0, 1, 2)
 
 
 def test_reference_counts():
@@ -179,7 +188,7 @@ def test_postorder_lists_children_first_and_finds_cycles(rules, starts):
         for a, b in zip(cycle, cycle[1:]):
             assert RuleRef(b) in rules[a]
     if not any(_reaches(rules, x, x) for x in rules):
-        g = Grammar(tuple(Rule(x, tuple(rhs)) for x, rhs in rules.items()))
+        g = Grammar(rules)
         assert g.reach == {x: frozenset(y for y in rules if _reaches(rules, x, y))
                            for x in rules}
 
@@ -215,7 +224,7 @@ def test_longer_cycle_detected():
 
 
 def test_empty_rhs_is_structural():
-    report = validate_grammar(Grammar((Rule(0, ()),)))
+    report = validate_grammar(Grammar({0: ()}))
     assert not report.structural_ok
     assert any("empty" in v for v in report.structural_violations)
 

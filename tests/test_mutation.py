@@ -214,9 +214,9 @@ def test_remove_rule_cascades_through_emptied_hosts():
 
 def test_add_rule_drawn_body_shape(crafted):
     out = apply_mutation(crafted, 18, alpha(crafted), RandomSource(41))
-    new_id = max(out.grammar.rule_ids())
+    new_id = max(out.grammar.rhs)
     assert new_id == 3
-    body = out.grammar.rule(new_id).rhs
+    body = out.grammar.rhs[new_id]
     assert 2 <= len(body) <= 8
     for sym in body:
         if isinstance(sym, RuleRef):
@@ -225,7 +225,7 @@ def test_add_rule_drawn_body_shape(crafted):
             assert sym.value in alpha(crafted)
     assert out.touched[0] == new_id
     refs_to_new = sum(
-        1 for r in out.grammar for s in r.rhs
+        1 for rhs in out.grammar.rhs.values() for s in rhs
         if isinstance(s, RuleRef) and s.rule_id == new_id)
     assert refs_to_new == 1
 
@@ -279,7 +279,7 @@ def test_forced_targets_of_wrong_shape_or_type(crafted, kind, targets):
 def test_definition_swap_with_root_always_cycles():
     g = induce(HORNPIPE)
     a = NoteAlphabet.from_tune(HORNPIPE)
-    for other in sorted(g.rule_ids())[1:]:
+    for other in sorted(g.rhs)[1:]:
         with pytest.raises(MutationTargetError):
             apply_mutation(g, 17, a, RandomSource(0), targets=(0, other))
 
@@ -396,7 +396,7 @@ def test_cached_views_neither_go_stale_nor_leak(mini_corpus):
         a = alpha(g)
         views = g.walk, g.reach, g.occurrences
         answers = [applicable(g, kind) for kind in MutationKind]
-        fresh = Grammar(g.rules)
+        fresh = Grammar(g.rhs)
         assert fresh._applicable == {}
         for other in (fresh, pickle.loads(pickle.dumps(g))):
             assert (other.walk, other.reach, other.occurrences) == views

@@ -151,7 +151,7 @@ def test_run_empty_tune():
 
 def test_run_forced_definition_swap_golden():
     g = induce(HORNPIPE)
-    by_expansion = {expand_rule(g, i): i for i in g.rule_ids()}
+    by_expansion = {expand_rule(g, i): i for i in g.rhs}
     targets = (by_expansion[(2, 1, 2)], by_expansion[(4, 4)])
     outcome = apply_mutation(g, MutationKind.SWAP_DEFINITIONS,
                              NoteAlphabet.from_tune(HORNPIPE), RandomSource(0),
@@ -249,31 +249,6 @@ def test_per_kind_analyses_each_grammar_once(monkeypatch):
     assert len(calls["walk"]) == 1 + len(applied)
     assert sorted(kind for _, kind in calls["decide"]) == list(MutationKind)
     assert len(calls["occurrences"]) == 1
-
-
-def test_loop_builds_no_rule_objects(monkeypatch):
-    # Grammar.rhs is the one stored copy of the rules: neither loop reads
-    # the Rule view or builds a Rule.
-    reads, built = [], []
-
-    def rules(g):
-        reads.append(g)
-        return view(g)
-
-    def post_init(rule):
-        built.append(rule)
-        check(rule)
-
-    view, check = Grammar.rules.func, model_module.Rule.__post_init__
-    prop = functools.cached_property(rules)
-    prop.__set_name__(Grammar, "rules")
-    monkeypatch.setattr(Grammar, "rules", prop)
-    monkeypatch.setattr(model_module.Rule, "__post_init__", post_init)
-    run_per_kind(HORNPIPE, 0)
-    run(HORNPIPE, RunConfig(steps=20, seed=3))
-    assert reads == [] and built == []
-    assert len(Grammar.from_mapping({0: [1, 2]}).rules) == 1
-    assert len(reads) == 1 and len(built) == 2
 
 
 def test_per_kind_empty_tune():

@@ -151,7 +151,7 @@ def test_expand_leaves_out_faults_the_root_does_not_reach():
 def test_expand_rule_matches_a_fold_over_its_own_walk(mini_corpus):
     for ct in mini_corpus:
         g = induce(ct.tune)
-        for r in g.rule_ids():
+        for r in g.rhs:
             memo = {}
             for x in postorder(g.rhs, (r,))[0]:
                 memo[x] = tuple(v for s in g.rhs[x] for v in (
