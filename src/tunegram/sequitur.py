@@ -5,7 +5,8 @@ symbols are appended one at a time while two invariants are enforced,
 digram uniqueness (no adjacent pair occurs twice, overlapping pairs of
 equal symbols excepted) and rule utility (every rule other than the
 root is used at least twice).  Repeated digrams become rules, rules
-whose use count drops to one are inlined again.
+whose use count drops to one are inlined again.  As in the reference
+implementation, each rule carries only a count of its uses.
 
 The working representation is int-coded.  A node is an index into
 flat ``prv``/``nxt``/``val`` lists, and each rule is a circular list
@@ -70,7 +71,7 @@ def induce(tune: Sequence[int]) -> Grammar:
     val = [base]
     state = bytearray(b"\2")  # per node: 0 dead, 1 symbol, 2 guard
     guards: list[int | None] = [0]  # rule -> guard node, None once inlined
-    users: list[set[int]] = [set()]  # rule -> nodes whose value it is
+    uses = [0]  # rule -> how many live nodes hold it
     index: dict[tuple[int, int], int] = {}  # digram -> its first node
     setdefault = index.setdefault
     get = index.get
@@ -84,6 +85,7 @@ def induce(tune: Sequence[int]) -> Grammar:
             # The recorded occurrence is the entire rhs of a rule:
             # reuse that rule instead of making a nested copy.
             substitute(new_first, val[old_prev])
+            use_a, use_b = old_first, old_second
         else:
             rule = base + len(guards)
             g = len(val)  # the new rule's guard, then its two nodes
@@ -92,11 +94,11 @@ def induce(tune: Sequence[int]) -> Grammar:
             val.extend((rule, a, b))
             state.extend(b"\2\1\1")
             guards.append(g)
-            users.append(set())
+            uses.append(0)
             if a >= base:
-                users[a - base].add(g + 1)
+                uses[a - base] += 1
             if b >= base:
-                users[b - base].add(g + 2)
+                uses[b - base] += 1
             # Index the rule body as the canonical occurrence before
             # rewriting, so any digram re-formed by the cascade below
             # matches the rule instead of racing it.
@@ -106,14 +108,15 @@ def induce(tune: Sequence[int]) -> Grammar:
             # this occurrence too, by a use of the same rule.
             if state[new_first] and val[new_first] == a:
                 substitute(new_first, rule)
+            use_a, use_b = g + 1, g + 2
         # Rule utility: folding both occurrences may have left a
-        # sub-rule with a single remaining use; inline it.
-        if a >= base and len(users[a - base]) == 1 \
-                and guards[a - base] is not None:
-            inline(a - base)
-        if b >= base and len(users[b - base]) == 1 \
-                and guards[b - base] is not None:
-            inline(b - base)
+        # sub-rule with a single remaining use; inline it.  That use is
+        # in the body holding the digram, which a cascade reuses whole
+        # and leaves alone.  An inlined rule's count stays 0.
+        if a >= base and uses[a - base] == 1:
+            inline(a - base, use_a)
+        if b >= base and uses[b - base] == 1:
+            inline(b - base, use_b)
 
     def substitute(first: int, rule: int) -> None:
         """Turn ``first`` into a use of ``rule``, the digram it opens."""
@@ -123,20 +126,21 @@ def induce(tune: Sequence[int]) -> Grammar:
         a = val[first]
         b = val[second]
         c = val[after]
-        # Drop the index entries of the three digrams that go, each only
+        p = val[prev]
+        # Drop the index entries of the digrams on either side, each only
         # if it records this very occurrence.  Neither ``first`` nor
-        # ``second`` is ever a guard.
-        if state[prev] != 2 and get((val[prev], a)) == prev:
-            del index[val[prev], a]
-        if get((a, b)) == first:
-            del index[a, b]
-        if state[after] != 2 and get((b, c)) == second:
-            del index[b, c]
+        # ``second`` is ever a guard.  The entry of (a, b) never records
+        # ``first``: the caller, ``match``, has it record the rule body
+        # it reuses or has just built, and substitutes elsewhere.
+        if state[prev] != 2 and get(k := (p, a)) == prev:
+            del index[k]
+        if state[after] != 2 and get(k := (b, c)) == second:
+            del index[k]
         if a >= base:
-            users[a - base].discard(first)
+            uses[a - base] -= 1
         if b >= base:
-            users[b - base].discard(second)
-        users[rule - base].add(first)
+            uses[b - base] -= 1
+        uses[rule - base] += 1
         state[second] = 0
         val[first] = rule
         nxt[first] = after
@@ -146,7 +150,7 @@ def induce(tune: Sequence[int]) -> Grammar:
         # A pair overlapping its recorded occurrence (x x x) is kept.
         left = False
         if state[prev] == 1:
-            found = setdefault((val[prev], rule), prev)
+            found = setdefault((p, rule), prev)
             left = found != prev and nxt[found] != prev and found != first
             if left:
                 match(prev, found)
@@ -166,19 +170,19 @@ def induce(tune: Sequence[int]) -> Grammar:
                 if found != after and nxt[found] != after and found != d:
                     match(after, found)
 
-    def inline(s: int) -> None:
-        """Splice single-use rule ``s`` back into its one use site."""
-        (use,) = users[s]
+    def inline(s: int, use: int) -> None:
+        """Splice single-use rule ``s`` back into its one use, ``use``."""
         prev = prv[use]
         after = nxt[use]
         first = nxt[guards[s]]
         last = prv[guards[s]]
-        r = val[use]
-        if state[prev] != 2 and get((val[prev], r)) == prev:
-            del index[val[prev], r]
-        if state[after] != 2 and get((r, val[after])) == use:
-            del index[r, val[after]]
-        users[s].discard(use)
+        r = base + s
+        p = val[prev]
+        if state[prev] != 2 and get(k := (p, r)) == prev:
+            del index[k]
+        if state[after] != 2 and get(k := (r, val[after])) == use:
+            del index[k]
+        uses[s] = 0
         state[use] = 0
         guards[s] = None
         # The rule body keeps its internal digrams (and their index
@@ -190,7 +194,7 @@ def induce(tune: Sequence[int]) -> Grammar:
         # The seam checks of substitute; the body's ends are symbols.
         left = False
         if state[prev] == 1:
-            found = setdefault((val[prev], val[first]), prev)
+            found = setdefault((p, val[first]), prev)
             left = found != prev and nxt[found] != prev and found != first
             if left:
                 match(prev, found)
