@@ -118,27 +118,6 @@ class Grammar:
     def __hash__(self) -> int:
         return hash(tuple(self.rhs.items()))
 
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[int, Iterable[Symbol | int | str]]) -> Grammar:
-        """Build a grammar from ``{id: rhs}`` with a little sugar.
-
-        In the rhs, plain ints become terminals and strings like ``"p3"``
-        become rule references.  Handy for tests and fixtures.
-        """
-        rhs: dict[int, list[Symbol]] = {}
-        for rule_id, items in mapping.items():
-            symbols = rhs[rule_id] = []
-            for item in items:
-                if isinstance(item, (Terminal, RuleRef)):
-                    symbols.append(item)
-                elif isinstance(item, int):
-                    symbols.append(Terminal(item))
-                elif isinstance(item, str) and re.fullmatch(r"p\d+", item):
-                    symbols.append(RuleRef(int(item[1:])))
-                else:
-                    raise ValueError(f"cannot interpret rhs item {item!r}")
-        return cls(rhs)
-
     @functools.cached_property
     def walk(self) -> tuple[list[int], list[int] | None,
                             list[tuple[int, int | None]]]:

@@ -23,11 +23,12 @@ take one path: target, fit rule, edit on one copy, safety net.
   ranges and symbol types.
 
 The fit rule ``_fits`` is exact on a structurally valid grammar: an
-edit there can only fail by closing a reference cycle or by purging the
-root, since every source rules out an emptied rhs.  ``_new_edges``
-lists the references a target adds, and ``_fits`` accepts it iff no
-added reference ``x -> c`` has ``c`` equal to ``x`` or reaching ``x``
-in the grammar before the edit (:attr:`~tunegram.model.Grammar.reach`).
+edit there can only fail by closing a reference cycle or by taking out
+the root (kind 19 takes out the rules it leaves empty, ``_taken_out``),
+since every source rules out an emptied rhs.  ``_new_edges`` lists the
+references a target adds, and ``_fits`` accepts it iff no added
+reference ``x -> c`` has ``c`` equal to ``x`` or reaching ``x`` in the
+grammar before the edit (:attr:`~tunegram.model.Grammar.reach`).
 A kind is applicable iff some target fits; kinds 6 and 17 count their
 failing pairs instead of scanning them.  Only the accepted target is
 applied by ``_edit``, to one copy of the rhs map, which the new grammar
@@ -180,32 +181,22 @@ def _new_body(non_root: list[int], alphabet: NoteAlphabet,
     return tuple(body)
 
 
-def _purge(rules: Mapping[int, Sequence[Symbol]], target: int) -> list[int] | None:
-    """Delete a rule and every reference to it, cascading through rules
-    the purge empties; return the ids removed or edited, or None if the
-    cascade would take out the root.  Entries of ``rules`` are replaced,
-    never edited in place, so a shallow copy of a read-only mapping will
-    do."""
-    touched: set[int] = set()
-    doomed = [target]
-    removed: set[int] = set()
-    while doomed:
-        d = doomed.pop()
-        if d == ROOT_ID:
-            return None
-        if d in removed:
-            continue
-        removed.add(d)
-        del rules[d]
-        for host in sorted(rules):
-            kept = [s for s in rules[host]
-                    if not (isinstance(s, RuleRef) and s.rule_id == d)]
-            if len(kept) != len(rules[host]):
-                rules[host] = kept
-                touched.add(host)
-                if not kept:
-                    doomed.append(host)
-    return sorted(removed | touched)
+def _taken_out(rules: Mapping[int, Sequence[Symbol]], order: Iterable[int],
+               target: int) -> set[int]:
+    """The rules that removing ``target`` takes out: ``target`` and every
+    rule whose non-empty rhs holds only references to rules taken out.
+    One pass over ``order``, a walk that lists each rule after the rules
+    it references, so it is exact on an acyclic grammar."""
+    taken = {target}
+    for x in order:
+        rhs = rules[x]
+        for s in rhs:  # a loop, not all(): no generator per rule
+            if not isinstance(s, RuleRef) or s.rule_id not in taken:
+                break
+        else:
+            if rhs:
+                taken.add(x)
+    return taken
 
 
 # ---------------------------------------------------------------------------
@@ -449,17 +440,17 @@ def _fits(kind, g: Grammar, t) -> bool:
     grammar ``g`` gives a structurally valid grammar.
 
     ``g.reach`` is read only once some target adds a reference, so
-    kinds that add none never compute it.  Kind 19 fits iff its purge
-    spares the root.  Every other kind fits iff no added
-    reference ``x -> c`` has ``x == c`` or ``x`` reachable from ``c``.
-    That is exact: a new cycle must use an added reference; a shortest
-    one that used a removed reference would close an old cycle, and for
-    kinds 6 and 17 one through both added references does too.  For a
-    definition swap (kind 17) of ``a`` and ``b`` the rule reduces to:
-    neither rule reaches the other.
+    kinds that add none never compute it.  Kind 19 fits iff the rules
+    its removal takes out (:func:`_taken_out`) spare the root.  Every
+    other kind fits iff no added reference ``x -> c`` has ``x == c`` or
+    ``x`` reachable from ``c``.  That is exact: a new cycle must use an
+    added reference; a shortest one that used a removed reference would
+    close an old cycle, and for kinds 6 and 17 one through both added
+    references does too.  For a definition swap (kind 17) of ``a`` and
+    ``b`` the rule reduces to: neither rule reaches the other.
     """
     if kind == MutationKind.REMOVE_RULE:
-        return _purge(dict(g.rhs), t[0]) is not None
+        return ROOT_ID not in _taken_out(g.rhs, g.walk[0], t[0])
     if kind == MutationKind.SWAP_DEFINITIONS:
         a, b = t
         return a not in g.reach[b] and b not in g.reach[a]
@@ -467,10 +458,10 @@ def _fits(kind, g: Grammar, t) -> bool:
                    for x, c in _new_edges(kind, g.rhs, t))
 
 
-def _edit(kind, rules: _Rules, t) -> list[int]:
-    """Apply target ``t`` of ``kind`` to ``rules`` in place; return the
-    rule ids created, removed or edited.  ``t`` must pass
-    :func:`_is_target` (a drawn or enumerated one does) and
+def _edit(kind, g: Grammar, rules: _Rules, t) -> list[int]:
+    """Apply target ``t`` of ``kind`` to ``rules``, a copy of ``g``'s,
+    in place; return the rule ids created, removed or edited.  ``t``
+    must pass :func:`_is_target` (a drawn or enumerated one does) and
     :func:`_fits`."""
     k = int(kind)
     if k == 1:
@@ -521,7 +512,16 @@ def _edit(kind, rules: _Rules, t) -> list[int]:
         rules[new_id] = list(body)
         rules[host].insert(index, RuleRef(new_id))
         return [new_id, host]
-    return _purge(rules, t[0])  # kind 19
+    taken = _taken_out(g.rhs, g.walk[0], t[0])  # kind 19
+    for x in taken:
+        del rules[x]
+    stripped = []
+    for host, rhs in rules.items():
+        if any(isinstance(s, RuleRef) and s.rule_id in taken for s in rhs):
+            rhs[:] = [s for s in rhs
+                      if not (isinstance(s, RuleRef) and s.rule_id in taken)]
+            stripped.append(host)
+    return sorted(taken.union(stripped))
 
 
 def _candidates(kind, g, alphabet, rng):
@@ -548,7 +548,7 @@ def applicable(g: Grammar, kind: MutationKind) -> bool:
 
 def _decide(g: Grammar, kind: MutationKind) -> bool:
     if kind in (MutationKind.ADD_NOTE, MutationKind.ADD_RULE):
-        return True  # an insertion under the root always fits
+        return bool(g.rhs)  # notes, or a rule of notes, fit in any rule
     rules = g.rhs
     if kind == MutationKind.SWAP_RULE_REFS_ACROSS:
         occs, spans = g.occurrences[RuleRef]
@@ -646,7 +646,7 @@ def apply_mutation(
             f"no structurally valid targets exist for mutation {int(kind)}; "
             f"is the input grammar structurally valid?")
     new_rules = _rules_dict(g)
-    touched = _edit(kind, new_rules, t)
+    touched = _edit(kind, g, new_rules, t)
     grammar = _to_grammar(new_rules)
     report = validate_grammar(grammar)
     if not report.structural_ok:

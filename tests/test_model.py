@@ -100,16 +100,8 @@ def test_grammar_rejects_duplicate_ids():
         parse_grammar("p0 -> 1; p0 -> 2")
 
 
-def test_from_mapping_sugar():
-    g = Grammar.from_mapping({0: ["p1", 3, "p1"], 1: [1, 2]})
-    assert g.rhs[0] == (RuleRef(1), Terminal(3), RuleRef(1))
-    assert g.rhs[1] == (Terminal(1), Terminal(2))
-    with pytest.raises(ValueError):
-        Grammar.from_mapping({0: ["q1"]})
-
-
 def test_grammar_pickles_before_and_after_reach_is_read():
-    g = Grammar.from_mapping({0: ["p1", "p2", "p1"], 1: [1, 2], 2: ["p1", 3]})
+    g = parse_grammar("p0 -> p1 p2 p1; p1 -> 1 2; p2 -> p1 3")
     fresh = pickle.loads(pickle.dumps(g))
     assert fresh == g and fresh.rhs == g.rhs
     assert g.reach == {0: frozenset({1, 2}), 1: frozenset(), 2: frozenset({1})}
@@ -119,7 +111,7 @@ def test_grammar_pickles_before_and_after_reach_is_read():
 
 
 def test_reference_counts():
-    g = Grammar.from_mapping({0: ["p1", "p2", "p1"], 1: [1], 2: ["p1", 2]})
+    g = parse_grammar("p0 -> p1 p2 p1; p1 -> 1; p2 -> p1 2")
     counts = reference_counts(g)
     assert counts[1] == 3
     assert counts[2] == 1
@@ -127,7 +119,8 @@ def test_reference_counts():
 
 
 def test_render_parse_round_trip():
-    g = Grammar.from_mapping({0: ["p1", 3, -2, "p1"], 1: [5, 5]})
+    g = Grammar({0: [RuleRef(1), Terminal(3), Terminal(-2), RuleRef(1)],
+                 1: [Terminal(5), Terminal(5)]})
     text = render_grammar(g)
     assert text == "p0 -> p1 3 -2 p1\np1 -> 5 5\n"
     assert parse_grammar(text) == g
@@ -208,18 +201,18 @@ def test_postorder_on_a_deep_chain_is_iterative():
 
 
 def test_single_rule_grammar_is_fully_valid():
-    report = validate_grammar(Grammar.from_mapping({0: [7]}))
+    report = validate_grammar(parse_grammar("p0 -> 7"))
     assert report.structural_ok and report.canonical_ok and report.ok
 
 
 def test_self_reference_is_a_cycle():
-    report = validate_grammar(Grammar.from_mapping({0: ["p1", "p1"], 1: ["p1"]}))
+    report = validate_grammar(parse_grammar("p0 -> p1 p1; p1 -> p1"))
     assert not report.structural_ok
     assert any("cycle" in v for v in report.structural_violations)
 
 
 def test_longer_cycle_detected():
-    g = Grammar.from_mapping({0: ["p1", "p1"], 1: ["p2", 1], 2: ["p1", 2]})
+    g = parse_grammar("p0 -> p1 p1; p1 -> p2 1; p2 -> p1 2")
     assert not validate_grammar(g).structural_ok
 
 
@@ -230,19 +223,18 @@ def test_empty_rhs_is_structural():
 
 
 def test_missing_root_is_structural():
-    report = validate_grammar(Grammar.from_mapping({1: [1, 2]}))
+    report = validate_grammar(parse_grammar("p1 -> 1 2"))
     assert any("p0" in v for v in report.structural_violations)
 
 
 def test_dangling_reference_is_structural():
-    report = validate_grammar(Grammar.from_mapping({0: ["p5", 1]}))
+    report = validate_grammar(parse_grammar("p0 -> p5 1"))
     assert not report.structural_ok
     assert any("missing rule p5" in v for v in report.structural_violations)
 
 
 def test_cycle_and_dangling_reference_messages():
-    g = Grammar.from_mapping(
-        {0: ["p1", 3, "p1"], 1: ["p2", "p7"], 2: ["p3", 4], 3: ["p1", 5]})
+    g = parse_grammar("p0 -> p1 3 p1; p1 -> p2 p7; p2 -> p3 4; p3 -> p1 5")
     report = validate_grammar(g)
     assert report.structural_violations == (
         "rule p1 references missing rule p7",
@@ -278,7 +270,7 @@ def _structural_oracle(g):
 def test_structural_check_from_the_walk_matches_three_scans(rules):
     # rule_maps give empty rhs, dangling references, cycles, grammars
     # without p0 and rules the root does not reach.
-    g = Grammar.from_mapping(rules)
+    g = Grammar(rules)
     assert validate_grammar(g).structural_violations == _structural_oracle(g)
 
 
@@ -288,24 +280,24 @@ def test_structural_ok_never_computes_the_canonical_half(monkeypatch):
 
     monkeypatch.setattr(model_module, "digram_census", forbidden)
     monkeypatch.setattr(model_module, "reference_counts", forbidden)
-    reports = [validate_grammar(Grammar.from_mapping(mapping))
-               for mapping in ({0: [1, 2, 1, 2]}, {0: ["p1", "p1"], 1: ["p1"]})]
+    reports = [validate_grammar(parse_grammar(text))
+               for text in ("p0 -> 1 2 1 2", "p0 -> p1 p1; p1 -> p1")]
     assert [r.structural_ok for r in reports] == [True, False]
     with pytest.raises(AssertionError, match="canonical half computed"):
         reports[0].canonical_violations
 
 
 def test_reports_compare_by_both_halves():
-    same = validate_grammar(Grammar.from_mapping({0: [1, 2, 1, 2]}))
-    again = validate_grammar(Grammar.from_mapping({0: [1, 2, 1, 2]}))
-    other = validate_grammar(Grammar.from_mapping({0: [1, 2, 3, 4]}))
+    same = validate_grammar(parse_grammar("p0 -> 1 2 1 2"))
+    again = validate_grammar(parse_grammar("p0 -> 1 2 1 2"))
+    other = validate_grammar(parse_grammar("p0 -> 1 2 3 4"))
     assert same.structural_violations == other.structural_violations == ()
     assert same != other and not same.canonical_ok and other.canonical_ok
     assert same == again and hash(same) == hash(again)
 
 
 def test_repeated_digram_breaks_canonicality_only():
-    g = Grammar.from_mapping({0: [1, 2, 3, 1, 2]})
+    g = parse_grammar("p0 -> 1 2 3 1 2")
     report = validate_grammar(g)
     assert report.structural_ok
     assert not report.canonical_ok
@@ -314,16 +306,16 @@ def test_repeated_digram_breaks_canonicality_only():
 
 def test_overlapping_equal_halves_digram_is_sanctioned():
     # 4 4 inside 4 4 4 overlaps itself; that repeat is fine
-    assert validate_grammar(Grammar.from_mapping({0: [4, 4, 4]})).ok
+    assert validate_grammar(parse_grammar("p0 -> 4 4 4")).ok
     # four in a row has two non-overlapping occurrences; not fine
-    report = validate_grammar(Grammar.from_mapping({0: [4, 4, 4, 4]}))
+    report = validate_grammar(parse_grammar("p0 -> 4 4 4 4"))
     assert report.structural_ok and not report.canonical_ok
 
 
 def test_digram_check_is_linear_in_repeats():
     # One pitch 4,000 times: 3,999 places of one digram.  Comparing them
     # pairwise took seconds.
-    g = Grammar.from_mapping({0: [4] * 4000})
+    g = Grammar({0: [Terminal(4)] * 4000})
     t0 = time.perf_counter()
     report = validate_grammar(g)
     assert time.perf_counter() - t0 < 0.5
@@ -331,14 +323,14 @@ def test_digram_check_is_linear_in_repeats():
     assert report.canonical_violations[0].startswith(
         "digram 4 4 repeats at p0@0, p0@1, p0@2, ")
     # a lone pair of places is a repeat unless it overlaps in one rule
-    for mapping in ({0: [4, 4, 5, 4, 4]}, {0: ["p1", 4, 4, "p1"], 1: [4, 4]}):
-        report = validate_grammar(Grammar.from_mapping(mapping))
+    for text in ("p0 -> 4 4 5 4 4", "p0 -> p1 4 4 p1; p1 -> 4 4"):
+        report = validate_grammar(parse_grammar(text))
         assert any(v.startswith("digram 4 4 ")
                    for v in report.canonical_violations)
 
 
 def test_underused_rule_breaks_canonicality_only():
-    g = Grammar.from_mapping({0: ["p1", 3], 1: [1, 2]})
+    g = parse_grammar("p0 -> p1 3; p1 -> 1 2")
     report = validate_grammar(g)
     assert report.structural_ok
     assert any("referenced 1 time" in v for v in report.canonical_violations)

@@ -18,6 +18,7 @@ from tunegram.model import (
     RuleRef,
     Terminal,
     TunegramError,
+    parse_grammar,
     render_grammar,
     validate_grammar,
 )
@@ -39,10 +40,6 @@ HORNPIPE = (2, 11, 7, 4, 4, 7, 4, 4, 7, 11, 2, 1, 2, 9, 6, 2, 2, 6, 2, 2,
             6, 2, 4, 6, 4, 4)
 
 
-def gram(mapping):
-    return Grammar.from_mapping(mapping)
-
-
 def alpha(g):
     return NoteAlphabet.from_tune(expand(g))
 
@@ -50,7 +47,7 @@ def alpha(g):
 @pytest.fixture
 def crafted():
     """Three rules, references only in the root, notes everywhere."""
-    return gram({0: ["p1", 1, "p2", "p1", "p2", 2], 1: [3, 4], 2: [5, 6]})
+    return parse_grammar("p0 -> p1 1 p2 p1 p2 2; p1 -> 3 4; p2 -> 5 6")
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +171,7 @@ def test_forced_targets_golden(crafted, kind, targets, expected, touched):
 
 
 def test_forced_swap_refs_across():
-    g = gram({0: ["p1", "p2", 7], 1: [1, 2], 2: ["p3", 5], 3: [8, 9]})
+    g = parse_grammar("p0 -> p1 p2 7; p1 -> 1 2; p2 -> p3 5; p3 -> 8 9")
     out = apply_mutation(g, 6, alpha(g), RandomSource(0),
                          targets=(0, 0, 2, 0))
     assert render_grammar(out.grammar) == \
@@ -183,7 +180,7 @@ def test_forced_swap_refs_across():
 
 
 def test_reverse_rule_is_an_involution():
-    g = gram({0: ["p1", "p1", 3], 1: [1, 2]})
+    g = parse_grammar("p0 -> p1 p1 3; p1 -> 1 2")
     once = apply_mutation(g, 15, alpha(g), RandomSource(0),
                           targets=(0,)).grammar
     assert expand(once) == (3, 1, 2, 1, 2)
@@ -193,20 +190,20 @@ def test_reverse_rule_is_an_involution():
 
 
 def test_remove_note_between_repeated_refs():
-    g = gram({0: ["p1", 5, "p1"], 1: [1, 2]})
+    g = parse_grammar("p0 -> p1 5 p1; p1 -> 1 2")
     out = apply_mutation(g, 8, alpha(g), RandomSource(0), targets=(0, 1))
     assert render_grammar(out.grammar) == "p0 -> p1 p1\np1 -> 1 2\n"
     assert expand(out.grammar) == (1, 2, 1, 2)
 
 
 def test_swap_definitions_moves_whole_phrases():
-    g = gram({0: [1, "p1", 2, "p2", 3], 1: [7, 8], 2: [9, 9]})
+    g = parse_grammar("p0 -> 1 p1 2 p2 3; p1 -> 7 8; p2 -> 9 9")
     out = apply_mutation(g, 17, alpha(g), RandomSource(0), targets=(1, 2))
     assert expand(out.grammar) == (1, 9, 9, 2, 7, 8, 3)
 
 
 def test_remove_rule_cascades_through_emptied_hosts():
-    g = gram({0: ["p1", 1], 1: ["p2", "p2"], 2: [3]})
+    g = parse_grammar("p0 -> p1 1; p1 -> p2 p2; p2 -> 3")
     out = apply_mutation(g, 19, alpha(g), RandomSource(0), targets=(2,))
     assert render_grammar(out.grammar) == "p0 -> 1\n"
     assert out.touched == (0, 1, 2)
@@ -289,13 +286,13 @@ def test_definition_swap_with_root_always_cycles():
 
 
 def test_applicable_single_note_grammar():
-    g = gram({0: [1]})
+    g = parse_grammar("p0 -> 1")
     yes = {int(k) for k in MutationKind if applicable(g, k)}
     assert yes == {7, 15, 18}
 
 
 def test_applicable_single_ref_chain():
-    g = gram({0: ["p1"], 1: [2]})
+    g = parse_grammar("p0 -> p1; p1 -> 2")
     yes = {int(k) for k in MutationKind if applicable(g, k)}
     # adding a second reference to p1 is fine; everything that would
     # empty a rule, needs two occurrences, or forces a cycle is not
@@ -303,7 +300,7 @@ def test_applicable_single_ref_chain():
 
 
 def test_applicable_flat_grammar():
-    g = gram({0: [1, 2, 3]})
+    g = parse_grammar("p0 -> 1 2 3")
     yes = {int(k) for k in MutationKind if applicable(g, k)}
     assert yes == {7, 8, 9, 11, 15, 16, 18}
 
@@ -314,16 +311,19 @@ def test_applicable_crafted(crafted):
     assert yes == set(range(1, 20)) - {6}
 
 
-def test_applicable_on_deep_rule_chain():
-    # p0 -> p1 0 p1 0; p_i -> p_{i+1} i; p1500 -> 1500 1501.  The
-    # reachability walk used to recurse once per level and raise
-    # RecursionError here for kinds 1, 4 and 14.
-    depth = 1500
-    mapping = {0: ["p1", 0, "p1", 0]}
+def _deep_chain(depth):
+    """p0 -> p1 0 p1 0; p_i -> p_{i+1} i; p_depth -> depth depth+1."""
+    rhs = {0: [RuleRef(1), Terminal(0), RuleRef(1), Terminal(0)]}
     for i in range(1, depth):
-        mapping[i] = [f"p{i + 1}", i]
-    mapping[depth] = [depth, depth + 1]
-    g = gram(mapping)
+        rhs[i] = [RuleRef(i + 1), Terminal(i)]
+    rhs[depth] = [Terminal(depth), Terminal(depth + 1)]
+    return Grammar(rhs)
+
+
+def test_applicable_on_deep_rule_chain():
+    # The reachability walk used to recurse once per level and raise
+    # RecursionError here for kinds 1, 4 and 14.
+    g = _deep_chain(1500)
     for kind in (1, 4, 14):
         assert isinstance(applicable(g, kind), bool)
     # Every pair of rules is linked by reachability, so no definition
@@ -344,16 +344,88 @@ def test_pair_kinds_on_deep_rule_chain_are_fast():
     # (kind 6) and every definition swap (kind 17) would close a cycle.
     # Trying each pair on a validated copy of the grammar took about a
     # minute per kind.
-    depth = 300
-    mapping = {0: ["p1", 0, "p1", 0]}
-    for i in range(1, depth):
-        mapping[i] = [f"p{i + 1}", i]
-    mapping[depth] = [depth, depth + 1]
-    g = gram(mapping)
+    g = _deep_chain(300)
     for kind in (6, 17):
         t0 = time.perf_counter()
         assert applicable(g, kind) is False
         assert time.perf_counter() - t0 < 2.0
+
+
+def test_rule_removal_on_a_single_reference_chain_is_fast():
+    # p0 -> p1, p1 -> p2, ..., p399 -> 5: removing any rule empties every
+    # rule above it, the root too.  Purging the rules one at a time, each
+    # with a scan of the whole grammar, took seconds per kind here.
+    n = 400
+    rhs = {i: [RuleRef(i + 1)] for i in range(n - 1)}
+    rhs[n - 1] = [Terminal(5)]
+    chain = Grammar(rhs)
+    t0 = time.perf_counter()
+    assert applicable(chain, MutationKind.REMOVE_RULE) is False
+    assert time.perf_counter() - t0 < 0.5
+    # A rule nothing refers to is the one rule that can go, and it goes
+    # alone.
+    g = Grammar({**rhs, n: [Terminal(6)]})
+    assert applicable(g, MutationKind.REMOVE_RULE)
+    out = apply_mutation(g, MutationKind.REMOVE_RULE, NoteAlphabet((5, 6)),
+                         RandomSource(0))
+    assert out.grammar == chain and out.touched == (n,)
+
+
+def _removal_oracle(rhs, target):
+    """Remove ``target``, then strip references to removed rules and
+    remove the rules that leaves empty, until nothing changes: the rules
+    left and the ids removed or edited, or None if the root goes."""
+    rules = {i: list(r) for i, r in rhs.items()}
+    removed, edited = {target}, set()
+    while 0 not in removed:
+        emptied = set()
+        for x in removed:
+            rules.pop(x, None)
+        for h, r in rules.items():
+            kept = [s for s in r if not (isinstance(s, RuleRef)
+                                         and s.rule_id in removed)]
+            if len(kept) < len(r):
+                rules[h] = kept
+                edited.add(h)
+                if not kept:
+                    emptied.add(h)
+        if not emptied:
+            return rules, tuple(sorted(removed | edited))
+        removed |= emptied
+    return None
+
+
+def test_rule_removal_matches_a_fixpoint_oracle():
+    # Random DAGs with shuffled ids, so that id order is not a walk
+    # order, with rules the root does not reach and a few empty rules.
+    # Each rule refers only to rules placed after it in a random order
+    # of the ids.
+    rnd = random.Random(19)
+    kind = MutationKind.REMOVE_RULE
+    for _ in range(3000):
+        ids = rnd.sample(range(12), rnd.randint(1, 8))
+        if 0 not in ids:
+            ids[0] = 0
+        rhs = {}
+        for n, x in enumerate(ids):
+            later = ids[n + 1:]
+            size = rnd.randint(1, 3) if rnd.random() < 0.9 else 0
+            rhs[x] = [RuleRef(rnd.choice(later)) if later and rnd.random() < 0.7
+                      else Terminal(rnd.randrange(3)) for _ in range(size)]
+        g = Grammar(rhs)
+        fits = []
+        for r in g.rhs:
+            if r == 0:
+                continue
+            want = _removal_oracle(g.rhs, r)
+            fits.append(mutation_module._fits(kind, g, (r,)))
+            assert fits[-1] == (want is not None), (r, render_grammar(g))
+            if want is not None:
+                copy = mutation_module._rules_dict(g)
+                touched = mutation_module._edit(kind, g, copy, (r,))
+                assert list(copy.items()) == list(want[0].items()), r
+                assert tuple(touched) == want[1], (r, render_grammar(g))
+        assert applicable(g, kind) == any(fits)
 
 
 def test_fits_matches_operator_and_validation():
@@ -374,9 +446,9 @@ def test_fits_matches_operator_and_validation():
                 for t in mutation_module._targets(kind, g, a,
                                                   RandomSource(checked)):
                     copy = mutation_module._rules_dict(g)
-                    valid = mutation_module._edit(kind, copy, t) is not None \
-                        and validate_grammar(
-                            mutation_module._to_grammar(copy)).structural_ok
+                    mutation_module._edit(kind, g, copy, t)
+                    valid = validate_grammar(
+                        mutation_module._to_grammar(copy)).structural_ok
                     fits.append(mutation_module._fits(kind, g, t))
                     assert fits[-1] == valid, (kind, t, render_grammar(g))
                     checked += 1
@@ -411,8 +483,8 @@ def test_cached_views_neither_go_stale_nor_leak(mini_corpus):
 def test_forced_symmetric_swaps_are_order_free():
     # Swapping a with b is swapping b with a: both orders of every target
     # give the same grammar, or are both rejected.
-    for g in (induce(HORNPIPE), gram({0: ["p1", "p2", 7], 1: [1, 2],
-                                      2: ["p3", 5], 3: [8, 9]})):
+    for g in (induce(HORNPIPE), parse_grammar(
+            "p0 -> p1 p2 7; p1 -> 1 2; p2 -> p3 5; p3 -> 8 9")):
         a = alpha(g)
         for kind in (5, 6, 11, 12, 17):
             for t in mutation_module._targets(MutationKind(kind), g, a,
@@ -429,13 +501,14 @@ def test_forced_symmetric_swaps_are_order_free():
                 assert outs[0] == outs[1], (kind, t)
 
 
-@pytest.mark.parametrize("mapping", [
-    {0: ["p1", 5], 1: [1, "p2"], 2: ["p1", 3]},    # cycle p1 -> p2 -> p1
-    {0: [1, "p5", 2, "p1"], 1: [3, 4]},            # dangling reference
-    {0: [1, "p1"], 1: []},                         # empty rhs
-], ids=["cycle", "dangling", "empty-rhs"])
-def test_invalid_input_raises_or_gives_a_valid_grammar(mapping):
-    g = gram(mapping)
+@pytest.mark.parametrize("text", [
+    "p0 -> p1 5; p1 -> 1 p2; p2 -> p1 3",     # cycle p1 -> p2 -> p1
+    "p0 -> 1 p5 2 p1; p1 -> 3 4",             # dangling reference
+    "p0 -> 1 p1; p1 ->",                      # empty rhs
+    "",                                       # no rules at all
+], ids=["cycle", "dangling", "empty-rhs", "empty-grammar"])
+def test_invalid_input_raises_or_gives_a_valid_grammar(text):
+    g = parse_grammar(text)
     a = NoteAlphabet((1, 2, 3, 4, 5))
     for kind in MutationKind:
         for seed in range(6):
@@ -451,7 +524,7 @@ def test_reverse_span_draw_unranks_the_span_list():
     # length) spans, so it must pick what rng.choose on that list picks.
     a = NoteAlphabet((1,))
     for n in range(3, 41):
-        g = Grammar.from_mapping({0: [Terminal(1)] * n})
+        g = Grammar({0: [Terminal(1)] * n})
         for seed in range(8):
             rng = RandomSource(seed)
             host = rng.choose([0])
@@ -463,7 +536,7 @@ def test_reverse_span_draw_unranks_the_span_list():
 
 def test_reverse_span_on_a_long_flat_rule_is_fast():
     # The span list of a 3,000-symbol rule holds 4.5 million spans.
-    g = gram({0: [i % 12 for i in range(3000)]})
+    g = Grammar({0: [Terminal(i % 12) for i in range(3000)]})
     t0 = time.perf_counter()
     out = apply_mutation(g, 16, alpha(g), RandomSource(1))
     assert time.perf_counter() - t0 < 0.1
@@ -471,7 +544,7 @@ def test_reverse_span_on_a_long_flat_rule_is_fast():
 
 
 def test_apply_raises_when_inapplicable():
-    g = gram({0: [1]})
+    g = parse_grammar("p0 -> 1")
     with pytest.raises(InapplicableMutationError):
         apply_mutation(g, 19, NoteAlphabet((1,)), RandomSource(0))
 
@@ -521,7 +594,7 @@ def test_random_mutation_default_excludes_new_rules(crafted):
 
 
 def test_random_mutation_no_applicable_kind():
-    g = gram({0: [1]})
+    g = parse_grammar("p0 -> 1")
     with pytest.raises(NoApplicableMutationError):
         random_mutation(g, NoteAlphabet((1,)), RandomSource(0),
                         excluded=frozenset({MutationKind.ADD_NOTE,

@@ -14,6 +14,7 @@ from tunegram.model import (
     EmptyTuneError,
     Grammar,
     GrammarStructureError,
+    RuleRef,
     Terminal,
     TuneTooShortError,
     UnknownRuleError,
@@ -119,10 +120,10 @@ def test_expand_rule_errors():
     g = parse_grammar("p0 -> 1 2")
     with pytest.raises(UnknownRuleError):
         expand_rule(g, 3)
-    cyclic = Grammar.from_mapping({0: ["p1", "p1"], 1: ["p1"]})
+    cyclic = parse_grammar("p0 -> p1 p1; p1 -> p1")
     with pytest.raises(GrammarStructureError):
         expand(cyclic)
-    dangling = Grammar.from_mapping({0: ["p9"]})
+    dangling = parse_grammar("p0 -> p9")
     with pytest.raises(UnknownRuleError):
         expand(dangling)
 
@@ -130,11 +131,11 @@ def test_expand_rule_errors():
 def test_expand_raises_the_first_fault_in_expansion_order():
     # Rules expand after the rules they reference: p2 comes first and
     # closes the cycle through p1 before p1's dangling p9 is met.
-    g = Grammar.from_mapping({0: ["p1"], 1: ["p2", "p9"], 2: ["p1", 5]})
+    g = parse_grammar("p0 -> p1; p1 -> p2 p9; p2 -> p1 5")
     with pytest.raises(GrammarStructureError, match="cycle through p1"):
         expand(g)
     # Here p2, with its dangling p9, expands before p1 and its self-loop.
-    g = Grammar.from_mapping({0: ["p2", "p1"], 1: ["p1", 5], 2: ["p9", 4]})
+    g = parse_grammar("p0 -> p2 p1; p1 -> p1 5; p2 -> p9 4")
     with pytest.raises(UnknownRuleError, match="missing rule p9"):
         expand(g)
 
@@ -142,9 +143,9 @@ def test_expand_raises_the_first_fault_in_expansion_order():
 def test_expand_leaves_out_faults_the_root_does_not_reach():
     # The shared walk covers every rule; expansion folds it only up to
     # the root, which comes first.
-    g = Grammar.from_mapping({0: [1, "p2"], 2: [3], 7: []})
+    g = parse_grammar("p0 -> 1 p2; p2 -> 3; p7 ->")
     assert expand(g) == (1, 3)
-    g = Grammar.from_mapping({0: [1, "p2"], 2: [3], 5: ["p6"], 6: ["p5", 4]})
+    g = parse_grammar("p0 -> 1 p2; p2 -> 3; p5 -> p6; p6 -> p5 4")
     assert not validate_grammar(g).structural_ok
     assert expand(g) == (1, 3)
 
@@ -163,9 +164,8 @@ def test_expand_rule_matches_a_fold_over_its_own_walk(mini_corpus):
 def test_expand_deep_grammar_is_iterative():
     # a 3000-rule reference chain would blow the recursion limit if
     # expansion recursed
-    mapping = {i: [f"p{i + 1}"] for i in range(3000)}
-    mapping[3000] = [7, 8]
-    g = Grammar.from_mapping(mapping)
+    g = Grammar({**{i: [RuleRef(i + 1)] for i in range(3000)},
+                 3000: [Terminal(7), Terminal(8)]})
     assert expand(g) == (7, 8)
 
 
