@@ -8,12 +8,12 @@ operators build new grammars rather than editing in place.
 
 A :class:`Grammar` is its rules, stored once, as the id-ordered ``rhs``
 map from rule id to rhs.  It owns every view derived from them, each
-computed once, on first read, and shared by every caller: its walk of
-the reference graph (``walk``, one :func:`postorder` over every rule,
-which also records empty rhs and missing references), its reachability
-sets (``reach``), its symbol occurrences (``occurrences``) and its
-mutation applicability answers.  Validation, expansion and ``reach``
-all read the one walk.
+computed once, on first read, and shared by every caller: its ids as a
+list (``ids``), its walk of the reference graph (``walk``, one
+:func:`postorder` over every rule, which also records empty rhs and
+missing references), its reachability sets (``reach``), its symbol
+occurrences (``occurrences``) and its mutation applicability answers.
+Validation, expansion and ``reach`` all read the one walk.
 """
 
 from __future__ import annotations
@@ -119,15 +119,20 @@ class Grammar:
         return hash(tuple(self.rhs.items()))
 
     @functools.cached_property
+    def ids(self) -> list[int]:
+        """The rule ids in id order, so the root, when present, comes
+        first; read-only, computed on first read."""
+        return list(self.rhs)
+
+    @functools.cached_property
     def walk(self) -> tuple[list[int], list[int] | None,
                             list[tuple[int, int | None]]]:
-        """``postorder(rhs, rhs, faults)``: every rule after the rules it
+        """``postorder(rhs, rhs)``: every rule after the rules it
         references, the first cycle met, and the faults met on the way;
         read-only, computed on first read.  The root, when present, is
         the first start, so the order up to and including it is
         ``postorder(rhs, (ROOT_ID,))``'s."""
-        faults: list[tuple[int, int | None]] = []
-        return (*postorder(self.rhs, self.rhs, faults), faults)
+        return postorder(self.rhs, self.rhs)
 
     @functools.cached_property
     def reach(self) -> dict[int, frozenset[int]]:
@@ -227,19 +232,21 @@ def parse_grammar(text: str) -> Grammar:
 
 
 def postorder(rules: Mapping[int, Sequence[Symbol]], starts: Iterable[int],
-              faults: list[tuple[int, int | None]] | None = None,
-              ) -> tuple[list[int], list[int] | None]:
+              ) -> tuple[list[int], list[int] | None,
+                         list[tuple[int, int | None]]]:
     """Every rule reachable from ``starts``, each once, after the rules it
-    references (depth first, in rhs order), and the first cycle met as a
-    closed path ``[x, ..., x]``, or None.  References to missing rules and
-    back edges (those that close a cycle) are skipped, so the walk ends
-    on any input; it is iterative, so chains of any depth are fine.
+    references (depth first, in rhs order), the first cycle met as a
+    closed path ``[x, ..., x]`` or None, and the faults met.  References
+    to missing rules and back edges (those that close a cycle) are
+    skipped, so the walk ends on any input; it is iterative, so chains
+    of any depth are fine.
 
-    A ``faults`` list, if given, gets ``(x, c)`` for each reference from
-    a listed rule ``x`` to a missing rule ``c``, in rhs order, and
-    ``(x, None)`` for each listed rule ``x`` with an empty rhs."""
+    The faults are ``(x, c)`` for each reference from a listed rule
+    ``x`` to a missing rule ``c``, in rhs order, and ``(x, None)`` for
+    each listed rule ``x`` with an empty rhs."""
     order: list[int] = []
     cycle: list[int] | None = None
+    faults: list[tuple[int, int | None]] = []
     on_path: dict[int, bool] = {}  # rule -> still on the path; done if False
     for start in starts:
         if start in on_path or start not in rules:
@@ -252,8 +259,7 @@ def postorder(rules: Mapping[int, Sequence[Symbol]], starts: Iterable[int],
                     continue
                 child = sym.rule_id
                 if child not in rules:
-                    if faults is not None:
-                        faults.append((path[-1], child))
+                    faults.append((path[-1], child))
                     continue
                 if child not in on_path:
                     on_path[child] = True
@@ -267,9 +273,9 @@ def postorder(rules: Mapping[int, Sequence[Symbol]], starts: Iterable[int],
                 on_path[x] = False
                 order.append(x)
                 rhs_iters.pop()
-                if faults is not None and not rules[x]:
+                if not rules[x]:
                     faults.append((x, None))
-    return order, cycle
+    return order, cycle, faults
 
 
 @dataclass(frozen=True, eq=False)

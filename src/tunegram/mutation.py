@@ -6,7 +6,7 @@ mix or reorder the two, 17-19 act on whole rules.
 
 A mutation is decided on its target, a tuple naming the rules,
 positions and symbols the edit uses (shapes in :func:`apply_mutation`),
-before any rule is copied.  Targets come from three sources, and all
+before any rule is copied.  Targets come from two sources, and both
 take one path: target, fit rule, edit on one copy, safety net.
 
 - Drawn: ``_draw`` makes every random choice (rule, occurrence, index,
@@ -14,11 +14,14 @@ take one path: target, fit rule, edit on one copy, safety net.
   are drawn occurrence-uniform: each RuleRef or terminal occurrence in
   the whole grammar is equally likely, rather than first picking a
   rule.  A draw that would empty an rhs or finds no partner gives no
-  target.  Up to ``MAX_ATTEMPTS`` draws are made.  If none fits (the
-  fitting targets can be a sliver of the draw space, e.g. cycle-free
-  rule pairs in a densely referencing grammar), the fallback takes the
-  whole target space (``_targets``) in shuffled order, so an applicable
-  kind always succeeds.
+  target.  Draws go on until a target fits (rejection sampling), so
+  the target is a draw conditioned on fitting, however many draws it
+  takes: the fitting targets can be a sliver of the draw space, e.g.
+  cycle-free rule pairs in a densely referencing grammar.  After
+  ``MAX_ATTEMPTS`` misses the input is checked once.  On a
+  structurally valid grammar an applicable kind has a fitting target,
+  which each draw hits with a chance above zero, so the draws end;
+  on any other, ``MutationTargetError`` is raised.
 - Forced: the caller names the target and ``_is_target`` checks its
   ranges and symbol types.
 
@@ -37,15 +40,16 @@ takes as its own, in id order.  The result goes through
 structurally invalid input; that check reads the new grammar's one
 walk, which ``expand`` reuses.
 
-Everything read off the input grammar (``rhs``, ``walk``, ``reach``,
-the ``occurrences`` that draws and target lists read, and each kind's
-applicability) is a fact the grammar owns, computed once and shared.
+Everything read off the input grammar (``rhs``, ``ids``, ``walk``,
+``reach``, ``occurrences`` and each kind's applicability) is a fact
+the grammar owns, computed once and shared.
 """
 
 from __future__ import annotations
 
 import random
 import struct
+from bisect import bisect_left
 from _blake2 import blake2b  # hashlib's own; importing hashlib loads OpenSSL
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -81,8 +85,8 @@ class InapplicableMutationError(TunegramError):
 
 class MutationTargetError(TunegramError):
     """Forced targets were unusable, or the input grammar was not
-    structurally valid (no target fitted, or the edit failed the safety
-    net)."""
+    structurally valid (``MAX_ATTEMPTS`` draws missed, or the edit
+    failed the safety net)."""
 
 
 class NoApplicableMutationError(TunegramError):
@@ -120,10 +124,6 @@ class RandomSource:
     def choose(self, items: Sequence):
         """Uniform element of a non-empty sequence."""
         return items[self.below(len(items))]
-
-    def shuffle(self, items: list) -> None:
-        """Uniform in-place permutation."""
-        self._rng.shuffle(items)
 
 
 def derive_seed(*parts: int) -> int:
@@ -168,14 +168,24 @@ def _to_grammar(rules: _Rules) -> Grammar:
     return Grammar._from_rhs({i: tuple(rhs) for i, rhs in rules.items()})
 
 
-def _new_body(non_root: list[int], alphabet: NoteAlphabet,
+def _choose_other(ids: list[int], x: int, rng: RandomSource) -> int:
+    """``rng.choose`` over the sorted ``ids`` without ``x``, unranked
+    instead of built; ``x`` need not be one of them."""
+    j = bisect_left(ids, x)
+    skip = j < len(ids) and ids[j] == x
+    p = rng.below(len(ids) - skip)
+    return ids[p + (skip and p >= j)]
+
+
+def _new_body(ids: list[int], alphabet: NoteAlphabet,
               rng: RandomSource) -> tuple[Symbol, ...]:
     """Kind 18's fresh rhs: a drawn length, then per symbol a coin flip
     between a reference to a non-root rule and a note."""
     body = []
+    refs = ids != [ROOT_ID]  # some non-root rule to refer to
     for _ in range(rng.between(NEW_RULE_MIN_LEN, NEW_RULE_MAX_LEN)):
-        if non_root and rng.below(2) == 1:
-            body.append(RuleRef(rng.choose(non_root)))
+        if refs and rng.below(2) == 1:
+            body.append(RuleRef(_choose_other(ids, ROOT_ID, rng)))
         else:
             body.append(Terminal(rng.choose(alphabet.notes)))
     return tuple(body)
@@ -210,22 +220,21 @@ def _draw(kind, g: Grammar, alphabet, rng):
     """One random target of ``kind``, shaped as in :func:`apply_mutation`,
     or None when the drawn symbol's removal would empty its rhs, it has
     no partner, or the drawn rule is too short to hold a span.  It reads
-    ``g.occurrences`` and copies no whole-grammar list; a choice that skips
-    some of their entries is unranked into them."""
+    ``g.ids`` and ``g.occurrences`` and copies no whole-grammar list; a
+    choice that skips some of their entries is unranked into them."""
     k = int(kind)
-    rules = g.rhs
-    ids = list(rules)  # in id order
-    non_root = [i for i in ids if i != ROOT_ID]
+    rules, ids = g.rhs, g.ids
     if k == 1:
-        ref = rng.choose(non_root)
+        ref = _choose_other(ids, ROOT_ID, rng)
         host = rng.choose(ids)
         return ref, host, rng.below(len(rules[host]) + 1)
     if k == 18:
-        body = _new_body(non_root, alphabet, rng)
+        body = _new_body(ids, alphabet, rng)
         host = rng.choose(ids)
         return host, rng.below(len(rules[host]) + 1), body
     if k == 19:
-        return (rng.choose(non_root),) if non_root else None
+        return (_choose_other(ids, ROOT_ID, rng),) if ids != [ROOT_ID] \
+            else None
     if k in (7, 15, 16, 17):
         host = rng.choose(ids)
         n = len(rules[host])
@@ -234,7 +243,7 @@ def _draw(kind, g: Grammar, alphabet, rng):
         if k == 15:
             return (host,)
         if k == 17:
-            return host, rng.choose([i for i in ids if i != host])
+            return host, _choose_other(ids, host, rng)
         if n < 3:
             return None
         # rng.choose over the length-major list of (start, length) spans,
@@ -255,10 +264,9 @@ def _draw(kind, g: Grammar, alphabet, rng):
         p = rng.below(n - 1)  # rng.choose over the positions but index
         return host, index, p + (p >= index)
     if k in (4, 10):
-        others = [i for i in ids if i != host]
-        if n < 2 or not others:
+        if n < 2 or len(ids) < 2:
             return None  # moving out would empty the host
-        other = rng.choose(others)
+        other = _choose_other(ids, host, rng)
         return host, index, other, rng.below(len(rules[other]) + 1)
     if k in (13, 14):
         occs, spans = g.occurrences[Terminal]
@@ -341,26 +349,23 @@ def _is_target(kind, rules, alphabet, t) -> bool:
     return target in rules and target != ROOT_ID
 
 
-def _targets(kind, g: Grammar, alphabet, rng):
-    """Every target tuple the kind's random draw could produce, lazily.
+def _targets(kind, g: Grammar):
+    """Every target tuple the kind's random draw could produce, lazily,
+    for every kind but 7 and 18, which :func:`_decide` answers itself.
 
     Shapes match the forced-``targets`` contract of
-    :func:`apply_mutation`.  Targets are filtered only for the cheap
-    local conditions the draw itself enforces (the rhs that would be
-    emptied, the partner that must exist); whether the edit would close
-    a reference cycle is :func:`_fits`'s question.  The order is fixed,
-    and kind 18 draws one body per insertion point from ``rng`` as it
-    goes, so a caller that lists the whole space takes the same draws
-    every time.
+    :func:`apply_mutation`; of the symmetric pairs (kinds 5, 6, 11, 12
+    and 17) one order is listed.  Targets are filtered only for the
+    cheap local conditions the draw itself enforces (the rhs that would
+    be emptied, the partner that must exist); whether the edit would
+    close a reference cycle is :func:`_fits`'s question.
     """
-    rules = g.rhs
-    ids = list(rules)  # in id order
-    non_root = [i for i in ids if i != ROOT_ID]
+    rules, ids = g.rhs, g.ids
     k = int(kind)
     if 2 <= k <= 6 or 8 <= k <= 12:
         occs = g.occurrences[RuleRef if k <= 6 else Terminal][0]
     if k == 1:
-        yield from ((r, h, ix) for r in non_root for h in ids
+        yield from ((r, h, ix) for r in ids if r != ROOT_ID for h in ids
                     for ix in range(len(rules[h]) + 1))
     elif k in (2, 8):
         yield from ((h, i) for h, i in occs if len(rules[h]) > 1)
@@ -383,9 +388,6 @@ def _targets(kind, g: Grammar, alphabet, rng):
     elif k in (6, 12):
         yield from ((h1, i1, h2, i2) for n, (h1, i1) in enumerate(occs)
                     for h2, i2 in occs[n + 1:] if h2 != h1)
-    elif k == 7:
-        yield from ((h, ix, v) for h in ids for ix in range(len(rules[h]) + 1)
-                    for v in alphabet.notes)
     elif k == 13:
         terms, spans = g.occurrences[Terminal]
         yield from ((h, i, j) for h, i in g.occurrences[RuleRef][0]
@@ -402,14 +404,8 @@ def _targets(kind, g: Grammar, alphabet, rng):
                     for s in range(len(rules[h]) - ln + 1))
     elif k == 17:
         yield from ((a, b) for n, a in enumerate(ids) for b in ids[n + 1:])
-    elif k == 18:
-        # A body can fail (its references may reach the host), but any
-        # body under the root succeeds, so the space as a whole cannot.
-        for h in ids:
-            for ix in range(len(rules[h]) + 1):
-                yield (h, ix, _new_body(non_root, alphabet, rng))
-    else:  # kind 19
-        yield from ((r,) for r in non_root)
+    elif k == 19:
+        yield from ((r,) for r in ids if r != ROOT_ID)
 
 
 def _new_edges(kind, rules, t):
@@ -524,16 +520,6 @@ def _edit(kind, g: Grammar, rules: _Rules, t) -> list[int]:
     return sorted(taken.union(stripped))
 
 
-def _candidates(kind, g, alphabet, rng):
-    """(attempt, target or None) for drawn targets: ``MAX_ATTEMPTS``
-    draws, then the whole target space in shuffled order."""
-    for attempt in range(1, MAX_ATTEMPTS + 1):
-        yield attempt, _draw(kind, g, alphabet, rng)
-    pool = list(_targets(kind, g, alphabet, rng))
-    rng.shuffle(pool)
-    yield from enumerate(pool, MAX_ATTEMPTS + 1)
-
-
 def applicable(g: Grammar, kind: MutationKind) -> bool:
     """True iff some concrete choice of targets lets apply_mutation
     succeed: some target of the kind fits (see :func:`_fits`).  Kinds 6
@@ -575,7 +561,7 @@ def _decide(g: Grammar, kind: MutationKind) -> bool:
         # pair is free of reachability iff that falls short of C(R, 2).
         n = len(rules)
         return sum(map(len, g.reach.values())) < n * (n - 1) // 2
-    return any(_fits(kind, g, t) for t in _targets(kind, g, None, None))
+    return any(_fits(kind, g, t) for t in _targets(kind, g))
 
 
 def apply_mutation(
@@ -610,10 +596,11 @@ def apply_mutation(
 
     Raises InapplicableMutationError when the precondition fails and
     MutationTargetError when forced targets are unusable (attempts is
-    then 1).  Drawn targets cannot exhaust: after MAX_ATTEMPTS draws
-    without a fitting target the whole target space is scanned in
-    shuffled order for the first target that fits, and applicability
-    guarantees there is one.
+    then 1).  Targets are drawn until one fits, and ``attempts`` counts
+    the draws.  After MAX_ATTEMPTS misses the input is checked once;
+    MutationTargetError is raised if it is not structurally valid.
+    Otherwise applicability guarantees a fitting target that a draw can
+    hit, and drawing goes on.
 
     Only the accepted target is applied, to one copy of the rules, and
     the result passes :func:`validate_grammar`'s structural check.  On
@@ -626,25 +613,25 @@ def apply_mutation(
     if not applicable(g, kind):
         raise InapplicableMutationError(
             f"mutation {int(kind)} ({kind.code}) has no valid target here")
-    rules = g.rhs
     if targets is not None:
         try:
-            usable = _is_target(kind, rules, alphabet, targets)
+            usable = _is_target(kind, g.rhs, alphabet, targets)
         except (TypeError, ValueError):  # wrong shape or slot type
             usable = False
-        found = [(1, targets)] if usable else []
-    else:
-        found = _candidates(kind, g, alphabet, rng)
-    for attempts, t in found:
-        if t is not None and _fits(kind, g, t):
-            break
-    else:
-        if targets is not None:
+        if not (usable and _fits(kind, g, targets)):
             raise MutationTargetError(f"forced targets {targets!r} are "
                                       f"invalid for mutation {int(kind)}")
-        raise MutationTargetError(
-            f"no structurally valid targets exist for mutation {int(kind)}; "
-            f"is the input grammar structurally valid?")
+        t, attempts = targets, 1
+    else:
+        t, attempts = None, 0
+        while t is None or not _fits(kind, g, t):
+            if attempts == MAX_ATTEMPTS and \
+                    not validate_grammar(g).structural_ok:
+                raise MutationTargetError(
+                    f"no target fits mutation {int(kind)} in {attempts} "
+                    f"draws: the input grammar is not structurally valid")
+            t = _draw(kind, g, alphabet, rng)
+            attempts += 1
     new_rules = _rules_dict(g)
     touched = _edit(kind, g, new_rules, t)
     grammar = _to_grammar(new_rules)

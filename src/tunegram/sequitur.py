@@ -287,8 +287,14 @@ def pai(g: Grammar) -> int:
 
     Each rule of k symbols costs k - 1 pairwise joins, so this is the
     total rhs symbol count minus the number of rules.  Unlike raw rule
-    counts it does not reward splitting one rule into two.
+    counts it does not reward splitting one rule into two.  A missing
+    root or an empty rhs raises, as in :func:`expand`.
     """
+    if ROOT_ID not in g:
+        raise UnknownRuleError(f"no rule with id {ROOT_ID}")
+    for rid, rhs in g.rhs.items():
+        if not rhs:
+            raise GrammarStructureError(f"rule p{rid} has an empty rhs")
     return sum(map(len, g.rhs.values())) - len(g.rhs)
 
 

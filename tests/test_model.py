@@ -163,7 +163,7 @@ rule_maps = st.integers(1, 8).flatmap(lambda n: st.dictionaries(
 @given(rule_maps, st.lists(st.integers(0, 9), max_size=4))
 @settings(max_examples=400, deadline=None)
 def test_postorder_lists_children_first_and_finds_cycles(rules, starts):
-    order, cycle = postorder(rules, starts)
+    order, cycle, _ = postorder(rules, starts)
     live = {x for x in starts if x in rules}
     assert len(order) == len(set(order))
     assert set(order) == live | {y for y in rules for x in live
@@ -189,10 +189,10 @@ def test_postorder_lists_children_first_and_finds_cycles(rules, starts):
 def test_postorder_on_a_deep_chain_is_iterative():
     rules = {i: (RuleRef(i + 1), Terminal(i)) for i in range(5000)}
     rules[5000] = (Terminal(0),)
-    order, cycle = postorder(rules, [0])
+    order, cycle, _ = postorder(rules, [0])
     assert order == list(range(5000, -1, -1)) and cycle is None
     rules[5000] = (RuleRef(0),)
-    order, cycle = postorder(rules, [0])
+    order, cycle, _ = postorder(rules, [0])
     assert cycle == list(range(5001)) + [0]
 
 

@@ -1,6 +1,8 @@
-"""Mutation operators: targets, applicability, randomness, fallback."""
+"""Mutation operators: targets, applicability, randomness, long draws."""
 
+import dataclasses
 import hashlib
+import itertools
 import pickle
 import random
 import struct
@@ -79,15 +81,10 @@ def test_random_source_seed_range():
         RandomSource(2**64)
 
 
-def test_random_source_choose_and_shuffle():
+def test_random_source_choose():
     r = RandomSource(1234)
     picks = [r.choose("abcd") for _ in range(50)]
     assert set(picks) == set("abcd")
-    r2 = RandomSource(99)
-    xs = list(range(8))
-    r2.shuffle(xs)
-    assert xs == [7, 2, 0, 5, 4, 1, 3, 6]
-    assert sorted(xs) == list(range(8))
 
 
 def test_derive_seed_frozen_values():
@@ -431,7 +428,9 @@ def test_rule_removal_matches_a_fixpoint_oracle():
 def test_fits_matches_operator_and_validation():
     # On small grammars from mutation chains without reparse, a target
     # fits iff its edit on a copy gives a grammar that validates, and a
-    # kind is applicable iff one of its targets fits.
+    # kind is applicable iff one of its targets fits.  _targets does not
+    # list kinds 7 and 18; they are checked on as many seeded draws as
+    # they have insertion points (kind 7: times the notes).
     rnd = random.Random(2024)
     checked = 0
     for chain in range(12):
@@ -441,10 +440,17 @@ def test_fits_matches_operator_and_validation():
         rng = RandomSource(derive_seed(5, chain))
         for _ in range(8):
             g = random_mutation(g, a, rng, excluded=frozenset()).grammar
+            gaps = sum(len(rhs) + 1 for rhs in g.rhs.values())
             for kind in MutationKind:
                 fits = []
-                for t in mutation_module._targets(kind, g, a,
-                                                  RandomSource(checked)):
+                if kind in (MutationKind.ADD_NOTE, MutationKind.ADD_RULE):
+                    n = gaps * len(a) if kind == MutationKind.ADD_NOTE else gaps
+                    draws = RandomSource(checked)
+                    space = [mutation_module._draw(kind, g, a, draws)
+                             for _ in range(n)]
+                else:
+                    space = mutation_module._targets(kind, g)
+                for t in space:
                     copy = mutation_module._rules_dict(g)
                     mutation_module._edit(kind, g, copy, t)
                     valid = validate_grammar(
@@ -487,8 +493,7 @@ def test_forced_symmetric_swaps_are_order_free():
             "p0 -> p1 p2 7; p1 -> 1 2; p2 -> p3 5; p3 -> 8 9")):
         a = alpha(g)
         for kind in (5, 6, 11, 12, 17):
-            for t in mutation_module._targets(MutationKind(kind), g, a,
-                                              None):
+            for t in mutation_module._targets(MutationKind(kind), g):
                 rev = (t[0], t[2], t[1]) if kind in (5, 11) else \
                     t[2:] + t[:2] if kind in (6, 12) else t[::-1]
                 outs = []
@@ -653,12 +658,12 @@ def test_mutated_grammars_keep_their_rules_in_id_order(mini_corpus):
 
 
 # ---------------------------------------------------------------------------
-# the exhaustive fallback
+# draws past MAX_ATTEMPTS
 
 
 def test_fallback_rescues_starved_sampling(mini_corpus, monkeypatch):
-    # with a single blind draw allowed, nearly every application must
-    # go through the enumerated-target pass; none may fail
+    # with the input checked after a single draw, many applications
+    # must go on drawing past that check; none may fail
     monkeypatch.setattr(mutation_module, "MAX_ATTEMPTS", 1)
     for ci, ct in enumerate(mini_corpus[:4]):
         g = induce(ct.tune)
@@ -670,6 +675,108 @@ def test_fallback_rescues_starved_sampling(mini_corpus, monkeypatch):
                                  RandomSource(derive_seed(31, ci, int(kind))))
             assert validate_grammar(out.grammar).structural_ok
             assert len(expand(out.grammar)) >= 1
+
+
+def _free_rule_chain(n):
+    """p0 -> p1 pR; p_i -> p_{i+1} 5; p_{n-2} -> 5 6; pR -> 5 6, with
+    R = n - 1: every rule but pR reaches or is reached by every other
+    rule of the chain, so the only definition swaps that fit pair pR
+    with a rule p1 ... p_{n-2}, about 2 in n of the draws."""
+    rhs = {0: [RuleRef(1), RuleRef(n - 1)]}
+    for i in range(1, n - 2):
+        rhs[i] = [RuleRef(i + 1), Terminal(5)]
+    rhs[n - 2] = rhs[n - 1] = [Terminal(5), Terminal(6)]
+    return Grammar(rhs)
+
+
+def _random_tune_grammar(n):
+    rnd = random.Random(0)
+    tune = [rnd.randrange(12) for _ in range(n)]
+    return induce(tune), NoteAlphabet.from_tune(tune)
+
+
+def test_reverse_span_on_a_long_random_tune_is_fast():
+    # Only the root of its 384 rules holds 3+ symbols, so most draws
+    # miss.  Listing every span of every rule once 100 draws had missed
+    # took about 3 s.
+    g, a = _random_tune_grammar(5000)
+    t0 = time.perf_counter()
+    out = apply_mutation(g, MutationKind.REVERSE_SPAN, a, RandomSource(16))
+    assert time.perf_counter() - t0 < 0.1
+    assert out.attempts > mutation_module.MAX_ATTEMPTS
+
+
+def test_definition_swap_with_few_fitting_pairs_is_fast():
+    # Listing all 2 million pairs of rules once 100 draws had missed
+    # took about 2 s.
+    g = _free_rule_chain(2000)
+    t0 = time.perf_counter()
+    out = apply_mutation(g, MutationKind.SWAP_DEFINITIONS,
+                         NoteAlphabet((5, 6)), RandomSource(17))
+    assert time.perf_counter() - t0 < 0.5
+    assert 1999 in out.touched
+
+
+@pytest.mark.parametrize("case", ["reverse-span", "definition-swap"])
+def test_draws_past_max_attempts_keep_the_draw_distribution(case):
+    # The target is the first drawn one that fits, however many draws
+    # that takes: replaying the draws on a twin source finds it.
+    if case == "reverse-span":
+        (g, a), kind, seed = _random_tune_grammar(2000), 16, 16
+    else:
+        g, a, kind, seed = _free_rule_chain(200), NoteAlphabet((5, 6)), 17, 0
+    out = apply_mutation(g, kind, a, RandomSource(seed))
+    assert out.attempts > mutation_module.MAX_ATTEMPTS
+    twin = RandomSource(seed)
+    for n in itertools.count(1):
+        t = mutation_module._draw(kind, g, a, twin)
+        if t is not None and mutation_module._fits(kind, g, t):
+            break
+    assert n == out.attempts
+    assert apply_mutation(g, kind, a, RandomSource(0), targets=t) == \
+        dataclasses.replace(out, attempts=1)
+
+
+def test_draws_reach_every_listed_target():
+    # Drawing until a target fits ends on valid input because a draw can
+    # give every target that _targets lists (the symmetric kinds in
+    # either order), and nothing else.
+    for g in (parse_grammar("p0 -> p1 1 p2 p1 p2 2; p1 -> 3 4; p2 -> 5 6"),
+              parse_grammar("p0 -> p1 p2 7; p1 -> 1 2; p2 -> p3 5; "
+                            "p3 -> 8 9 8")):
+        a, rng = alpha(g), RandomSource(3)
+        for kind in MutationKind:
+            if kind in (MutationKind.ADD_NOTE, MutationKind.ADD_RULE):
+                continue
+            want, seen = set(mutation_module._targets(kind, g)), set()
+            for _ in range(40 * len(want)):
+                t = mutation_module._draw(kind, g, a, rng)
+                if t is None:
+                    continue
+                if kind in (5, 11):
+                    t = (t[0], *sorted(t[1:]))
+                elif kind in (6, 12, 17):
+                    n = len(t) // 2
+                    t = sum(sorted((t[:n], t[n:])), ())
+                seen.add(t)
+            assert seen == want, kind
+
+
+def test_invalid_input_is_refused_once_the_draws_miss(monkeypatch):
+    # p0 is empty.  Seed 0's first draw puts p1 into p1 itself and
+    # misses; putting it into p0 would fit, and even repair the input.
+    # After MAX_ATTEMPTS misses the input is checked and refused, and
+    # no further draw is made.
+    monkeypatch.setattr(mutation_module, "MAX_ATTEMPTS", 1)
+    g = parse_grammar("p0 -> ; p1 -> 1")
+    a = NoteAlphabet((1,))
+    assert applicable(g, MutationKind.ADD_RULE_REF)
+    rng, twin = RandomSource(0), RandomSource(0)
+    t = mutation_module._draw(MutationKind.ADD_RULE_REF, g, a, twin)
+    assert not mutation_module._fits(MutationKind.ADD_RULE_REF, g, t)
+    with pytest.raises(MutationTargetError, match="not structurally valid"):
+        apply_mutation(g, MutationKind.ADD_RULE_REF, a, rng)
+    assert rng.below(2**30) == twin.below(2**30)
 
 
 def test_fallback_regression_long_run(mini_corpus):

@@ -174,6 +174,14 @@ def test_pai_counts_joins():
     assert pai(parse_grammar("p0 -> p1 p1; p1 -> 4 5 6")) == 3
 
 
+def test_pai_raises_on_an_empty_rhs_or_a_missing_root():
+    # Counting every rule in the map gave -2 and 0 here.
+    with pytest.raises(GrammarStructureError, match="p1 has an empty rhs"):
+        pai(parse_grammar("p0 -> 1; p1 ->; p2 ->"))
+    with pytest.raises(UnknownRuleError):
+        pai(Grammar({}))
+
+
 def test_to_intervals():
     assert to_intervals([2, 11, 7]) == (9, -4)
     assert to_intervals([4, 4, 4]) == (0, 0)
