@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from os.path import isdir
 from typing import Callable, Iterable, Sequence
 
 from .corpus import load_corpus, write_tune
@@ -42,6 +43,8 @@ def _trajectory_row(r: TrajectoryRecord) -> tuple[int, ...]:
 
 
 def _load_tune(path: str) -> Tune:
+    if isdir(path):  # load_corpus would read it as a corpus
+        raise TunegramError(f"{path} is a directory, not a tune file")
     tunes = load_corpus(path)
     if not tunes:
         raise TunegramError(f"no notes found in {path}")

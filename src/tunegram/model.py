@@ -92,9 +92,8 @@ class Grammar:
     as kinds are asked about; like the cached views below it is a fact
     of the rules, never compared.  Use :func:`validate_grammar` to
     check structural validity and canonicality; the constructor only
-    rejects negative ids so that invalid intermediate grammars can
-    still be represented (mutation candidates are validated
-    separately).
+    rejects negative ids, so that invalid grammars can still be
+    represented and reported on.
     """
 
     rhs: dict[int, tuple[Symbol, ...]]
@@ -151,22 +150,18 @@ class Grammar:
         return reach
 
     @functools.cached_property
-    def occurrences(self) -> dict[type, tuple[list[tuple[int, int]],
-                                              dict[int, tuple[int, int]]]]:
+    def occurrences(self) -> dict[type, list[tuple[int, int]]]:
         """``RuleRef`` and ``Terminal`` -> that type's occurrences as
-        ``(host, index)`` in (host, index) order, and host -> the
-        ``(start, stop)`` of its own occurrences in that list; read-only,
-        computed on first read."""
-        refs, notes, ref_spans, note_spans = [], [], {}, {}
+        ``(host, index)``, in (host, index) order, so each host's own
+        occurrences form one run; read-only, computed on first read."""
+        refs, notes = [], []
         for host, rhs in self.rhs.items():
-            r, n = len(refs), len(notes)
             for i, sym in enumerate(rhs):
                 if isinstance(sym, Terminal):
                     notes.append((host, i))
                 elif isinstance(sym, RuleRef):
                     refs.append((host, i))
-            ref_spans[host], note_spans[host] = (r, len(refs)), (n, len(notes))
-        return {RuleRef: (refs, ref_spans), Terminal: (notes, note_spans)}
+        return {RuleRef: refs, Terminal: notes}
 
     def __contains__(self, rule_id: int) -> bool:
         return rule_id in self.rhs
@@ -278,14 +273,15 @@ def postorder(rules: Mapping[int, Sequence[Symbol]], starts: Iterable[int],
     return order, cycle, faults
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ValidationReport:
     """Outcome of :func:`validate_grammar`.
 
     Structural problems make a grammar unusable (it cannot be expanded);
     canonicality problems only mean it is not in Sequitur normal form,
     which is the expected state for freshly mutated grammars.  The
-    canonical half is computed on first read; reports compare by both.
+    canonical half is computed on first read.  Reports compare by their
+    fields, so the reports of equal grammars are equal.
     """
 
     structural_violations: tuple[str, ...]
@@ -326,18 +322,6 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         return self.structural_ok and self.canonical_ok
-
-    def _key(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
-        return self.structural_violations, self.canonical_violations
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, ValidationReport) and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return "ValidationReport(structural_violations=%r, canonical_violations=%r)" % self._key()
 
 
 def digram_census(g: Grammar) -> dict[tuple[Symbol, Symbol], list[tuple[int, int]]]:
@@ -459,8 +443,6 @@ class NoteAlphabet:
 
     @classmethod
     def from_tune(cls, tune: Sequence[int]) -> NoteAlphabet:
-        if not tune:
-            raise EmptyTuneError("cannot build an alphabet from an empty tune")
         return cls(tuple(tune))
 
     def __contains__(self, note: int) -> bool:

@@ -28,10 +28,10 @@ take one path: target, fit rule, edit on one copy, safety net.
 The fit rule ``_fits`` is exact on a structurally valid grammar: an
 edit there can only fail by closing a reference cycle or by taking out
 the root (kind 19 takes out the rules it leaves empty, ``_taken_out``),
-since every source rules out an emptied rhs.  ``_new_edges`` lists the
-references a target adds, and ``_fits`` accepts it iff no added
-reference ``x -> c`` has ``c`` equal to ``x`` or reaching ``x`` in the
-grammar before the edit (:attr:`~tunegram.model.Grammar.reach`).
+since every source rules out an emptied rhs.  ``_fits`` builds the
+references a target adds and accepts it iff no added reference
+``x -> c`` has ``c`` equal to ``x`` or reaching ``x`` in the grammar
+before the edit (:attr:`~tunegram.model.Grammar.reach`).
 A kind is applicable iff some target fits; kinds 6 and 17 count their
 failing pairs instead of scanning them.  Only the accepted target is
 applied by ``_edit``, to one copy of the rhs map, which the new grammar
@@ -42,7 +42,8 @@ walk, which ``expand`` reuses.
 
 Everything read off the input grammar (``rhs``, ``ids``, ``walk``,
 ``reach``, ``occurrences`` and each kind's applicability) is a fact
-the grammar owns, computed once and shared.
+the grammar owns, computed once and shared; ``_run`` bisects a host's
+own occurrences out of ``occurrences``.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from __future__ import annotations
 import random
 import struct
 from bisect import bisect_left
+from collections import Counter
 from _blake2 import blake2b  # hashlib's own; importing hashlib loads OpenSSL
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -177,6 +179,11 @@ def _choose_other(ids: list[int], x: int, rng: RandomSource) -> int:
     return ids[p + (skip and p >= j)]
 
 
+def _run(occs: list[tuple[int, int]], host: int) -> tuple[int, int]:
+    """``(start, stop)`` of ``host``'s run in ``occs``, sorted (host, index)s."""
+    return bisect_left(occs, (host,)), bisect_left(occs, (host + 1,))
+
+
 def _new_body(ids: list[int], alphabet: NoteAlphabet,
               rng: RandomSource) -> tuple[Symbol, ...]:
     """Kind 18's fresh rhs: a drawn length, then per symbol a coin flip
@@ -253,7 +260,7 @@ def _draw(kind, g: Grammar, alphabet, rng):
             if r <= n - length:
                 return host, r, length
             r -= n - length + 1
-    occs, spans = g.occurrences[Terminal if 8 <= k <= 12 else RuleRef]
+    occs = g.occurrences[Terminal if 8 <= k <= 12 else RuleRef]
     host, index = rng.choose(occs)
     n = len(rules[host])
     if k in (2, 8):
@@ -269,8 +276,8 @@ def _draw(kind, g: Grammar, alphabet, rng):
         other = _choose_other(ids, host, rng)
         return host, index, other, rng.below(len(rules[other]) + 1)
     if k in (13, 14):
-        occs, spans = g.occurrences[Terminal]
-    start, stop = spans[host]
+        occs = g.occurrences[Terminal]
+    start, stop = _run(occs, host)
     if k in (5, 11, 13):  # a partner in the host
         partners = [i for _, i in occs[start:stop] if i != index]
         return (host, index, rng.choose(partners)) if partners else None
@@ -363,7 +370,7 @@ def _targets(kind, g: Grammar):
     rules, ids = g.rhs, g.ids
     k = int(kind)
     if 2 <= k <= 6 or 8 <= k <= 12:
-        occs = g.occurrences[RuleRef if k <= 6 else Terminal][0]
+        occs = g.occurrences[RuleRef if k <= 6 else Terminal]
     if k == 1:
         yield from ((r, h, ix) for r in ids if r != ROOT_ID for h in ids
                     for ix in range(len(rules[h]) + 1))
@@ -376,25 +383,19 @@ def _targets(kind, g: Grammar):
         yield from ((h, i, other, ix) for h, i in occs if len(rules[h]) > 1
                     for other in ids if other != h
                     for ix in range(len(rules[other]) + 1))
-    elif k in (5, 11):
-        # occs run in (host, index) order: a host's later occurrences
-        # follow it directly.
-        for n, (h, i) in enumerate(occs):
-            for m in range(n + 1, len(occs)):
-                h2, j = occs[m]
-                if h2 != h:
-                    break
-                yield (h, i, j)
+    elif k in (5, 11):  # a host's later occurrences follow it directly
+        yield from ((h, i, j) for n, (h, i) in enumerate(occs)
+                    for _, j in occs[n + 1:_run(occs, h)[1]])
     elif k in (6, 12):
         yield from ((h1, i1, h2, i2) for n, (h1, i1) in enumerate(occs)
                     for h2, i2 in occs[n + 1:] if h2 != h1)
     elif k == 13:
-        terms, spans = g.occurrences[Terminal]
-        yield from ((h, i, j) for h, i in g.occurrences[RuleRef][0]
-                    for _, j in terms[slice(*spans[h])])
+        terms = g.occurrences[Terminal]
+        yield from ((h, i, j) for h, i in g.occurrences[RuleRef]
+                    for _, j in terms[slice(*_run(terms, h))])
     elif k == 14:
-        terms = g.occurrences[Terminal][0]
-        yield from ((h1, i, h2, j) for h1, i in g.occurrences[RuleRef][0]
+        terms = g.occurrences[Terminal]
+        yield from ((h1, i, h2, j) for h1, i in g.occurrences[RuleRef]
                     for h2, j in terms if h1 != h2)
     elif k == 15:
         yield from ((h,) for h in ids)
@@ -408,50 +409,43 @@ def _targets(kind, g: Grammar):
         yield from ((r,) for r in ids if r != ROOT_ID)
 
 
-def _new_edges(kind, rules, t):
-    """Yield the (rule, referent) references that the edit ``t`` of
-    ``kind`` adds to the grammar; kinds that only remove references or
-    move symbols within one rule add none.  Kind 17 is decided in
-    :func:`_fits` directly."""
-    k = int(kind)
-    if k == 1:
-        ref, host, _ = t
-        yield host, ref
-    elif k in (4, 14):
-        host, index, other, _ = t
-        yield other, rules[host][index].rule_id
-    elif k == 6:
-        h1, i1, h2, i2 = t
-        a, b = rules[h1][i1].rule_id, rules[h2][i2].rule_id
-        if a != b:
-            yield h2, a
-            yield h1, b
-    elif k == 18:
-        host, _, body = t
-        yield from ((host, s.rule_id) for s in body if isinstance(s, RuleRef))
-
-
 def _fits(kind, g: Grammar, t) -> bool:
     """True iff applying target ``t`` of ``kind`` to the acyclic
     grammar ``g`` gives a structurally valid grammar.
 
-    ``g.reach`` is read only once some target adds a reference, so
-    kinds that add none never compute it.  Kind 19 fits iff the rules
-    its removal takes out (:func:`_taken_out`) spare the root.  Every
-    other kind fits iff no added reference ``x -> c`` has ``x == c`` or
-    ``x`` reachable from ``c``.  That is exact: a new cycle must use an
-    added reference; a shortest one that used a removed reference would
-    close an old cycle, and for kinds 6 and 17 one through both added
+    Kind 19 fits iff the rules its removal takes out
+    (:func:`_taken_out`) spare the root.  Every other kind fits iff no
+    reference ``x -> c`` it adds has ``x == c`` or ``x`` reachable from
+    ``c``.  A kind that moves notes, or removes or reorders references
+    within one rule, adds none and fits at once, never reading
+    ``g.reach``.  That is exact: a new cycle must use an added
+    reference; a shortest one that used a removed reference would close
+    an old cycle, and for kinds 6 and 17 one through both added
     references does too.  For a definition swap (kind 17) of ``a`` and
     ``b`` the rule reduces to: neither rule reaches the other.
     """
-    if kind == MutationKind.REMOVE_RULE:
-        return ROOT_ID not in _taken_out(g.rhs, g.walk[0], t[0])
-    if kind == MutationKind.SWAP_DEFINITIONS:
+    k, rules = int(kind), g.rhs
+    if k == 19:
+        return ROOT_ID not in _taken_out(rules, g.walk[0], t[0])
+    if k == 17:
         a, b = t
         return a not in g.reach[b] and b not in g.reach[a]
-    return not any(x == c or x in g.reach.get(c, ())
-                   for x, c in _new_edges(kind, g.rhs, t))
+    if k == 1:
+        ref, host, _ = t
+        added = [(host, ref)]
+    elif k in (4, 14):
+        host, index, other, _ = t
+        added = [(other, rules[host][index].rule_id)]
+    elif k == 6:
+        h1, i1, h2, i2 = t
+        a, b = rules[h1][i1].rule_id, rules[h2][i2].rule_id
+        added = [(h2, a), (h1, b)] if a != b else []
+    elif k == 18:
+        host, _, body = t
+        added = [(host, s.rule_id) for s in body if isinstance(s, RuleRef)]
+    else:
+        return True
+    return not any(x == c or x in g.reach.get(c, ()) for x, c in added)
 
 
 def _edit(kind, g: Grammar, rules: _Rules, t) -> list[int]:
@@ -537,9 +531,9 @@ def _decide(g: Grammar, kind: MutationKind) -> bool:
         return bool(g.rhs)  # notes, or a rule of notes, fit in any rule
     rules = g.rhs
     if kind == MutationKind.SWAP_RULE_REFS_ACROSS:
-        occs, spans = g.occurrences[RuleRef]
+        occs = g.occurrences[RuleRef]
         referents = [rules[h][i].rule_id for h, i in occs]
-        own = {h: b - a for h, (a, b) in spans.items()}  # refs hosted
+        own = Counter(h for h, _ in occs)  # refs hosted
         host_of: dict[int, int] = {}
         for (h, _), r in zip(occs, referents):
             if host_of.setdefault(r, h) != h:

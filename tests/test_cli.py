@@ -110,6 +110,15 @@ def test_missing_file_is_a_plain_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_single_tune_commands_refuse_a_directory(corpus_dir, tune_file,
+                                                 capsys):
+    # A directory is a corpus: reading its first tune would hide the slip.
+    assert main(["pai", corpus_dir]) == 1
+    assert main(["ed", corpus_dir, tune_file]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 2 and corpus_dir in err
+
+
 def test_unparsable_tune_file(tmp_path, capsys):
     p = tmp_path / "bad.txt"
     p.write_text("1 2 oops\n")

@@ -392,24 +392,28 @@ def _removal_oracle(rhs, target):
     return None
 
 
+def _random_dag(rnd, most):
+    """A grammar of 1 to ``most`` rules with shuffled ids, so that id
+    order is not a walk order, with rules the root does not reach and a
+    few empty rules.  Each rule refers only to rules placed after it in
+    a random order of the ids."""
+    ids = rnd.sample(range(12), rnd.randint(1, most))
+    if 0 not in ids:
+        ids[0] = 0
+    rhs = {}
+    for n, x in enumerate(ids):
+        later = ids[n + 1:]
+        size = rnd.randint(1, 3) if rnd.random() < 0.9 else 0
+        rhs[x] = [RuleRef(rnd.choice(later)) if later and rnd.random() < 0.7
+                  else Terminal(rnd.randrange(3)) for _ in range(size)]
+    return Grammar(rhs)
+
+
 def test_rule_removal_matches_a_fixpoint_oracle():
-    # Random DAGs with shuffled ids, so that id order is not a walk
-    # order, with rules the root does not reach and a few empty rules.
-    # Each rule refers only to rules placed after it in a random order
-    # of the ids.
     rnd = random.Random(19)
     kind = MutationKind.REMOVE_RULE
     for _ in range(3000):
-        ids = rnd.sample(range(12), rnd.randint(1, 8))
-        if 0 not in ids:
-            ids[0] = 0
-        rhs = {}
-        for n, x in enumerate(ids):
-            later = ids[n + 1:]
-            size = rnd.randint(1, 3) if rnd.random() < 0.9 else 0
-            rhs[x] = [RuleRef(rnd.choice(later)) if later and rnd.random() < 0.7
-                      else Terminal(rnd.randrange(3)) for _ in range(size)]
-        g = Grammar(rhs)
+        g = _random_dag(rnd, 8)
         fits = []
         for r in g.rhs:
             if r == 0:
@@ -741,9 +745,12 @@ def test_draws_reach_every_listed_target():
     # Drawing until a target fits ends on valid input because a draw can
     # give every target that _targets lists (the symmetric kinds in
     # either order), and nothing else.
+    # The last grammar's root holds only references, so kinds 13 and 14
+    # meet a host with no notes.
     for g in (parse_grammar("p0 -> p1 1 p2 p1 p2 2; p1 -> 3 4; p2 -> 5 6"),
               parse_grammar("p0 -> p1 p2 7; p1 -> 1 2; p2 -> p3 5; "
-                            "p3 -> 8 9 8")):
+                            "p3 -> 8 9 8"),
+              parse_grammar("p0 -> p1 p2 p1; p1 -> 1 2; p2 -> p1 3")):
         a, rng = alpha(g), RandomSource(3)
         for kind in MutationKind:
             if kind in (MutationKind.ADD_NOTE, MutationKind.ADD_RULE):
@@ -760,6 +767,31 @@ def test_draws_reach_every_listed_target():
                     t = sum(sorted((t[:n], t[n:])), ())
                 seen.add(t)
             assert seen == want, kind
+
+
+def test_forced_targets_are_exactly_the_listed_ones():
+    # _draw, _targets and _is_target each encode a kind's target space;
+    # the test above checks the first two against each other.  A forced
+    # target passes _is_target iff _targets lists it, in either order for
+    # the symmetric kinds: checked on every listed target and on every
+    # target one slot off by one from it.
+    rnd = random.Random(31)
+    for _ in range(200):
+        g = _random_dag(rnd, 5)
+        for kind in MutationKind:
+            if kind in (MutationKind.ADD_NOTE, MutationKind.ADD_RULE):
+                continue
+            listed = set(mutation_module._targets(kind, g))
+            if kind in (5, 11):
+                listed |= {(h, j, i) for h, i, j in listed}
+            elif kind in (6, 12, 17):
+                n = 1 if kind == 17 else 2
+                listed |= {t[n:] + t[:n] for t in listed}
+            for t in listed:
+                for u in [t] + [t[:s] + (t[s] + d,) + t[s + 1:]
+                                for s in range(len(t)) for d in (-1, 1)]:
+                    assert mutation_module._is_target(kind, g.rhs, None, u) \
+                        == (u in listed), (kind, u, render_grammar(g))
 
 
 def test_invalid_input_is_refused_once_the_draws_miss(monkeypatch):
