@@ -13,28 +13,6 @@ from typing import Sequence
 ACTIVE_BACKEND = "python"
 
 
-def _levenshtein_py(a: Sequence[int], b: Sequence[int]) -> int:
-    """Two-row DP: the textbook reference that the bit-parallel kernel
-    in ``levenshtein`` is tested against."""
-    n = len(b)
-    row = list(range(n + 1))
-    for i, x in enumerate(a):
-        diag = row[0]
-        row[0] = i + 1
-        for j in range(1, n + 1):
-            above = row[j]
-            cur = above + 1
-            left = row[j - 1] + 1
-            if left < cur:
-                cur = left
-            d = diag if x == b[j - 1] else diag + 1
-            if d < cur:
-                cur = d
-            diag = above
-            row[j] = cur
-    return row[n]
-
-
 def levenshtein(a: Sequence[int], b: Sequence[int]) -> int:
     """Minimum number of insertions, deletions and substitutions
     turning ``a`` into ``b``.  Empty sequences are fine."""

@@ -438,6 +438,9 @@ class NoteAlphabet:
     def __post_init__(self) -> None:
         if not self.notes:
             raise EmptyTuneError("alphabet needs at least one note")
+        for note in self.notes:
+            if isinstance(note, bool) or not isinstance(note, int):
+                raise TypeError(f"alphabet notes must be ints, got {note!r}")
         ordered = tuple(sorted(set(self.notes)))
         object.__setattr__(self, "notes", ordered)
 

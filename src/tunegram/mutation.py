@@ -6,8 +6,8 @@ mix or reorder the two, 17-19 act on whole rules.
 
 A mutation is decided on its target, a tuple naming the rules,
 positions and symbols the edit uses (shapes in :func:`apply_mutation`),
-before any rule is copied.  Targets come from two sources, and both
-take one path: target, fit rule, edit on one copy, safety net.
+before any rule is rewritten.  Targets come from two sources, and both
+take one path: target, fit rule, edit, safety net.
 
 - Drawn: ``_draw`` makes every random choice (rule, occurrence, index,
   span, symbol) uniformly from a :class:`RandomSource`.  Occurrences
@@ -34,11 +34,13 @@ references a target adds and accepts it iff no added reference
 before the edit (:attr:`~tunegram.model.Grammar.reach`).
 A kind is applicable iff some target fits; kinds 6 and 17 count their
 failing pairs instead of scanning them.  Only the accepted target is
-applied by ``_edit``, to one copy of the rhs map, which the new grammar
-takes as its own, in id order.  The result goes through
-``validate_grammar``'s structural check once, as a safety net against
-structurally invalid input; that check reads the new grammar's one
-walk, which ``expand`` reuses.
+applied: ``_edit`` returns a patch, the new rhs tuple of each rule it
+creates or rewrites and None for each rule it removes.  The new grammar
+lays the patch over the input's rhs map, so every other rule keeps the
+input's own tuple, and the patch's ids are the outcome's ``touched``.
+The result goes through ``validate_grammar``'s structural check once,
+as a safety net against structurally invalid input; that check reads
+the new grammar's one walk, which ``expand`` reuses.
 
 Everything read off the input grammar (``rhs``, ``ids``, ``walk``,
 ``reach``, ``occurrences`` and each kind's applicability) is a fact
@@ -146,28 +148,13 @@ def derive_seed(*parts: int) -> int:
 class MutationOutcome:
     """Result of one mutation: the kind, the new (structurally valid,
     possibly non-canonical) grammar, the rule ids created, removed or
-    edited, and how many target draws it took."""
+    edited, in the order the edit wrote them, and how many target draws
+    it took.  Every rule not in ``touched`` is the input's own tuple."""
 
     kind: MutationKind
     grammar: Grammar
     touched: tuple[int, ...]
     attempts: int
-
-
-# ---------------------------------------------------------------------------
-# working representation and shared helpers
-
-_Rules = dict[int, list[Symbol]]
-
-
-def _rules_dict(g: Grammar) -> _Rules:
-    return {i: list(rhs) for i, rhs in g.rhs.items()}
-
-
-def _to_grammar(rules: _Rules) -> Grammar:
-    # _edit keeps the id order of _rules_dict: kind 18 adds the highest
-    # id last, and kind 19 only deletes.
-    return Grammar._from_rhs({i: tuple(rhs) for i, rhs in rules.items()})
 
 
 def _choose_other(ids: list[int], x: int, rng: RandomSource) -> int:
@@ -218,9 +205,6 @@ def _taken_out(rules: Mapping[int, Sequence[Symbol]], order: Iterable[int],
 
 # ---------------------------------------------------------------------------
 # targets: draw, check, enumerate, fit and edit (see the module docstring)
-#
-# Every function here but _edit reads the rules without changing them,
-# so it can run on the grammar's own rhs tuples.
 
 
 def _draw(kind, g: Grammar, alphabet, rng):
@@ -298,7 +282,11 @@ def _is_target(kind, rules, alphabet, t) -> bool:
     A target of the wrong shape may raise TypeError or ValueError."""
     k = int(kind)
     typ = RuleRef if k <= 6 else Terminal
-    if not all(isinstance(x, int) for x in (t[:-1] if k == 18 else t)):
+
+    def num(x):  # an int, not a bool
+        return isinstance(x, int) and not isinstance(x, bool)
+
+    if not all(map(num, t[:-1] if k == 18 else t)):
         return False
 
     def at(h, i, want):  # (h, i) holds a symbol of type want
@@ -350,8 +338,9 @@ def _is_target(kind, rules, alphabet, t) -> bool:
     if k == 18:
         host, index, body = t
         return gap(host, index) and len(body) > 0 and all(
-            isinstance(s, Terminal) or isinstance(s, RuleRef)
-            and s.rule_id in rules for s in body)
+            num(s.value) if isinstance(s, Terminal) else
+            isinstance(s, RuleRef) and num(s.rule_id) and s.rule_id in rules
+            for s in body)
     (target,) = t  # kind 19
     return target in rules and target != ROOT_ID
 
@@ -448,70 +437,73 @@ def _fits(kind, g: Grammar, t) -> bool:
     return not any(x == c or x in g.reach.get(c, ()) for x, c in added)
 
 
-def _edit(kind, g: Grammar, rules: _Rules, t) -> list[int]:
-    """Apply target ``t`` of ``kind`` to ``rules``, a copy of ``g``'s,
-    in place; return the rule ids created, removed or edited.  ``t``
+def _edit(kind, g: Grammar, t) -> dict[int, tuple[Symbol, ...] | None]:
+    """The patch that applies target ``t`` of ``kind`` to ``g``: the new
+    rhs of each rule it creates or rewrites, and None for each rule it
+    removes.  The rules ``g`` keeps are left alone, to be shared.  ``t``
     must pass :func:`_is_target` (a drawn or enumerated one does) and
     :func:`_fits`."""
-    k = int(kind)
+    k, rules = int(kind), g.rhs
     if k == 1:
         ref, host, index = t
-        rules[host].insert(index, RuleRef(ref))
-        return [host]
+        rhs = rules[host]
+        return {host: rhs[:index] + (RuleRef(ref),) + rhs[index:]}
     if k in (2, 8):
         host, index = t
-        del rules[host][index]
-        return [host]
+        rhs = rules[host]
+        return {host: rhs[:index] + rhs[index + 1:]}
     if k in (3, 9):
         host, index, new_index = t
-        rules[host].insert(new_index, rules[host].pop(index))
-        return [host]
+        rhs = list(rules[host])
+        rhs.insert(new_index, rhs.pop(index))
+        return {host: tuple(rhs)}
     if k in (4, 10):
         host, index, other, new_index = t
-        rules[other].insert(new_index, rules[host].pop(index))
-        return [host, other]
+        rhs, dest = rules[host], rules[other]
+        return {host: rhs[:index] + rhs[index + 1:],
+                other: dest[:new_index] + (rhs[index],) + dest[new_index:]}
     if k in (5, 11, 13):
         host, i, j = t
-        rhs = rules[host]
+        rhs = list(rules[host])
         rhs[i], rhs[j] = rhs[j], rhs[i]
-        return [host]
+        return {host: tuple(rhs)}
     if k in (6, 12, 14):
         h1, i1, h2, i2 = t
-        rules[h1][i1], rules[h2][i2] = rules[h2][i2], rules[h1][i1]
-        return [h1, h2]
+        r1, r2 = rules[h1], rules[h2]
+        return {h1: r1[:i1] + (r2[i2],) + r1[i1 + 1:],
+                h2: r2[:i2] + (r1[i1],) + r2[i2 + 1:]}
     if k == 7:
         host, index, value = t
-        rules[host].insert(index, Terminal(value))
-        return [host]
+        rhs = rules[host]
+        return {host: rhs[:index] + (Terminal(value),) + rhs[index:]}
     if k == 15:
         (host,) = t
-        rules[host].reverse()
-        return [host]
+        return {host: rules[host][::-1]}
     if k == 16:
         host, start, length = t
-        rules[host][start:start + length] = \
-            rules[host][start:start + length][::-1]
-        return [host]
+        rhs, stop = rules[host], start + length
+        return {host: rhs[:start] + rhs[start:stop][::-1] + rhs[stop:]}
     if k == 17:
         a, b = t
-        rules[a], rules[b] = rules[b], rules[a]
-        return [a, b]
+        return {a: rules[b], b: rules[a]}
     if k == 18:
         host, index, body = t
         new_id = max(rules) + 1
-        rules[new_id] = list(body)
-        rules[host].insert(index, RuleRef(new_id))
-        return [new_id, host]
-    taken = _taken_out(g.rhs, g.walk[0], t[0])  # kind 19
-    for x in taken:
-        del rules[x]
-    stripped = []
-    for host, rhs in rules.items():
-        if any(isinstance(s, RuleRef) and s.rule_id in taken for s in rhs):
-            rhs[:] = [s for s in rhs
-                      if not (isinstance(s, RuleRef) and s.rule_id in taken)]
-            stripped.append(host)
-    return sorted(taken.union(stripped))
+        rhs = rules[host]
+        return {new_id: tuple(body),
+                host: rhs[:index] + (RuleRef(new_id),) + rhs[index:]}
+    taken = _taken_out(rules, g.walk[0], t[0])  # kind 19
+    patch = {}
+    for x, rhs in rules.items():
+        if x in taken:
+            patch[x] = None
+        elif any(isinstance(s, RuleRef) and s.rule_id in taken for s in rhs):
+            # tuple() of a list, not of a generator: that one is built at a
+            # guessed size and resized, and the resized tuples pile up in
+            # CPython's tuple free lists, which raised peak RSS
+            patch[x] = tuple([s for s in rhs if not (
+                isinstance(s, RuleRef) and s.rule_id in taken)])
+    return patch
 
 
 def applicable(g: Grammar, kind: MutationKind) -> bool:
@@ -596,12 +588,12 @@ def apply_mutation(
     Otherwise applicability guarantees a fitting target that a draw can
     hit, and drawing goes on.
 
-    Only the accepted target is applied, to one copy of the rules, and
-    the result passes :func:`validate_grammar`'s structural check.  On
-    a structurally valid grammar that check cannot fail.  If it does,
-    the input was not structurally valid, and MutationTargetError is
-    raised at once: no further targets are tried in the hope that one
-    repairs the input.
+    Only the accepted target is applied, as a patch of the rules it
+    rewrites; every other rule is shared with ``g``.  The result passes
+    :func:`validate_grammar`'s structural check.  On a structurally
+    valid grammar that check cannot fail.  If it does, the input was not
+    structurally valid, and MutationTargetError is raised at once: no
+    further targets are tried in the hope that one repairs the input.
     """
     kind = MutationKind(kind)
     if not applicable(g, kind):
@@ -626,16 +618,18 @@ def apply_mutation(
                     f"draws: the input grammar is not structurally valid")
             t = _draw(kind, g, alphabet, rng)
             attempts += 1
-    new_rules = _rules_dict(g)
-    touched = _edit(kind, g, new_rules, t)
-    grammar = _to_grammar(new_rules)
+    patch = _edit(kind, g, t)
+    # The rules keep id order: a rewritten rule keeps its place, and
+    # kind 18's new id is the highest, so it lands last.
+    grammar = Grammar._from_rhs({
+        i: rhs for i, rhs in {**g.rhs, **patch}.items() if rhs is not None})
     report = validate_grammar(grammar)
     if not report.structural_ok:
         raise MutationTargetError(
             f"mutation {int(kind)} gave an invalid grammar "
             f"({report.structural_violations[0]}): the input grammar is "
             f"not structurally valid")
-    return MutationOutcome(kind, grammar, tuple(touched), attempts)
+    return MutationOutcome(kind, grammar, tuple(patch), attempts)
 
 
 def _draw_pool(excluded: Iterable[int]) -> list[MutationKind]:

@@ -359,6 +359,12 @@ def test_alphabet_dedupes_and_sorts():
     assert list(a) == [2, 5, 9]
 
 
+@pytest.mark.parametrize("notes", [(1.5, 2), (True, 2)], ids=["float", "bool"])
+def test_alphabet_rejects_non_int_notes(notes):
+    with pytest.raises(TypeError):
+        NoteAlphabet(notes)
+
+
 def test_alphabet_rejects_empty():
     with pytest.raises(EmptyTuneError):
         NoteAlphabet.from_tune([])

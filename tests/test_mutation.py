@@ -263,7 +263,15 @@ def test_forced_targets_out_of_range(crafted):
     (3, (0, 0, "x")),               # a position that is not an int
     (3, (0, 0, 1.0)),
     (18, (0, 0, (1, 2))),           # a body of plain ints, not symbols
-], ids=["short", "long", "no-body", "str-index", "float-index", "int-body"])
+    (7, (0, 0, True)),              # True == 1, a note of the alphabet
+    (8, (True, 0)),                 # True == 1, the rule p1
+    (1, (2, 0, False)),
+    (18, (0, 0, (Terminal(True),))),
+    (18, (0, 0, (Terminal(1.5),))),
+    (18, (0, 0, (RuleRef(True),))),
+], ids=["short", "long", "no-body", "str-index", "float-index", "int-body",
+        "bool-note", "bool-host", "bool-index", "bool-body-note",
+        "float-body-note", "bool-body-ref"])
 def test_forced_targets_of_wrong_shape_or_type(crafted, kind, targets):
     with pytest.raises(MutationTargetError):
         apply_mutation(crafted, kind, alpha(crafted), RandomSource(0),
@@ -392,6 +400,12 @@ def _removal_oracle(rhs, target):
     return None
 
 
+def _patched(g, patch):
+    """``g``'s rules with ``_edit``'s patch applied: rewritten rules
+    replaced, new ones added, removed ones (None) dropped."""
+    return {x: rhs for x, rhs in {**g.rhs, **patch}.items() if rhs is not None}
+
+
 def _random_dag(rnd, most):
     """A grammar of 1 to ``most`` rules with shuffled ids, so that id
     order is not a walk order, with rules the root does not reach and a
@@ -422,10 +436,10 @@ def test_rule_removal_matches_a_fixpoint_oracle():
             fits.append(mutation_module._fits(kind, g, (r,)))
             assert fits[-1] == (want is not None), (r, render_grammar(g))
             if want is not None:
-                copy = mutation_module._rules_dict(g)
-                touched = mutation_module._edit(kind, g, copy, (r,))
-                assert list(copy.items()) == list(want[0].items()), r
-                assert tuple(touched) == want[1], (r, render_grammar(g))
+                patch = mutation_module._edit(kind, g, (r,))
+                assert list(_patched(g, patch).items()) == [
+                    (x, tuple(rhs)) for x, rhs in want[0].items()], r
+                assert tuple(patch) == want[1], (r, render_grammar(g))
         assert applicable(g, kind) == any(fits)
 
 
@@ -455,15 +469,33 @@ def test_fits_matches_operator_and_validation():
                 else:
                     space = mutation_module._targets(kind, g)
                 for t in space:
-                    copy = mutation_module._rules_dict(g)
-                    mutation_module._edit(kind, g, copy, t)
+                    patch = mutation_module._edit(kind, g, t)
                     valid = validate_grammar(
-                        mutation_module._to_grammar(copy)).structural_ok
+                        Grammar(_patched(g, patch))).structural_ok
                     fits.append(mutation_module._fits(kind, g, t))
                     assert fits[-1] == valid, (kind, t, render_grammar(g))
                     checked += 1
                 assert applicable(g, kind) == any(fits), (kind, render_grammar(g))
     assert checked > 10_000
+
+
+def test_a_mutation_shares_every_rule_it_does_not_touch(crafted,
+                                                        mini_corpus):
+    # Copy-on-write: every rule outside touched is the parent's very
+    # tuple, and every rule id created or removed is in touched.
+    grammars = [crafted] + [induce(ct.tune) for ct in mini_corpus[:4]]
+    for n, g in enumerate(grammars):
+        a = alpha(g)
+        for kind in MutationKind:
+            if not applicable(g, kind):
+                continue
+            for seed in range(3):
+                out = apply_mutation(g, kind, a,
+                                     RandomSource(derive_seed(n, kind, seed)))
+                new, touched = out.grammar.rhs, set(out.touched)
+                for r in (g.rhs.keys() & new.keys()) - touched:
+                    assert new[r] is g.rhs[r], (kind, r, render_grammar(g))
+                assert g.rhs.keys() ^ new.keys() <= touched, (kind, touched)
 
 
 def test_cached_views_neither_go_stale_nor_leak(mini_corpus):
@@ -811,9 +843,9 @@ def test_invalid_input_is_refused_once_the_draws_miss(monkeypatch):
     assert rng.below(2**30) == twin.below(2**30)
 
 
-def test_fallback_regression_long_run(mini_corpus):
-    # this exact run used to die at step 62: its definition swap has so
-    # few cycle-free pairs that blind draws miss them all
+def test_long_run_with_a_starved_definition_swap(mini_corpus):
+    # this exact run once died at step 62: its definition swap there has
+    # so few cycle-free pairs that it takes 112 draws, past MAX_ATTEMPTS
     result = run(mini_corpus[10].tune,
                  RunConfig(steps=100, seed=derive_seed(789, 10, 2)))
     assert len(result.trajectory) == 100
