@@ -39,31 +39,26 @@ def levenshtein(a: Sequence[int], b: Sequence[int]) -> int:
     # the vectors is row i+1 of one DP column over the longer sequence;
     # the loop runs over the shorter one, one column per note.  pv/mv
     # flag +1/-1 vertical deltas, ph/mh horizontal ones.  Python ints
-    # are signed and unbounded, so every complement is masked to m bits.
-    # Notes are only dict keys: any int (negative, past 64 bits) works.
-    m = len(ta)
+    # are signed and unbounded, so every complement is masked to the
+    # column's bits.  Notes are only dict keys: any int (negative, past
+    # 64 bits) works.  No running score is kept: the last column starts
+    # at row 0 = len(tb) and its vertical deltas sum to the distance.
     peq: dict[int, int] = {}
     bit = 1
     for x in ta:
         peq[x] = peq.get(x, 0) | bit
         bit <<= 1
     full = bit - 1
-    top = bit >> 1
     pv = full
     mv = 0
-    dist = m
     for y in tb:
         eq = peq.get(y, 0)
         xv = eq | mv
         xh = (((eq & pv) + pv) ^ pv) | eq
         ph = mv | (~(xh | pv) & full)
         mh = pv & xh
-        if ph & top:
-            dist += 1
-        elif mh & top:
-            dist -= 1
         ph = (ph << 1) | 1  # row 0 of column j is j: always +1
         pv = ((mh << 1) | ~(xv | ph)) & full
         mv = ph & xv
-    return dist
+    return len(tb) + pv.bit_count() - mv.bit_count()
 

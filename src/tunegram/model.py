@@ -13,7 +13,8 @@ list (``ids``), its walk of the reference graph (``walk``, one
 :func:`postorder` over every rule, which also records empty rhs and
 missing references), its reachability sets (``reach``), its symbol
 occurrences (``occurrences``) and its mutation applicability answers.
-Validation, expansion and ``reach`` all read the one walk.
+Validation, ``reach`` and rule removal (mutation kind 19) read the one
+walk; expansion does not, since it makes its own pass in rhs order.
 """
 
 from __future__ import annotations
@@ -128,8 +129,10 @@ class Grammar:
                             list[tuple[int, int | None]]]:
         """``postorder(rhs, rhs)``: every rule after the rules it
         references, the first cycle met, and the faults met on the way;
-        read-only, computed on first read.  The root, when present, is
-        the first start, so the order up to and including it is
+        read-only, computed on first read.  Read by
+        :func:`validate_grammar`, :attr:`reach` and rule removal
+        (mutation kind 19), not by expansion.  The root, when present,
+        is the first start, so the order up to and including it is
         ``postorder(rhs, (ROOT_ID,))``'s."""
         return postorder(self.rhs, self.rhs)
 

@@ -6,8 +6,11 @@ mix or reorder the two, 17-19 act on whole rules.
 
 A mutation is decided on its target, a tuple naming the rules,
 positions and symbols the edit uses (shapes in :func:`apply_mutation`),
-before any rule is rewritten.  Targets come from two sources, and both
-take one path: target, fit rule, edit, safety net.
+before any rule is rewritten.  The input is checked once, before any
+target: a grammar that is not structurally valid (``validate_grammar``)
+raises ``MutationTargetError`` before any draw, even where some target
+would repair it.  Targets come from two sources, and both take one
+path: target, fit rule, edit.
 
 - Drawn: ``_draw`` makes every random choice (rule, occurrence, index,
   span, symbol) uniformly from a :class:`RandomSource`.  Occurrences
@@ -17,11 +20,9 @@ take one path: target, fit rule, edit, safety net.
   target.  Draws go on until a target fits (rejection sampling), so
   the target is a draw conditioned on fitting, however many draws it
   takes: the fitting targets can be a sliver of the draw space, e.g.
-  cycle-free rule pairs in a densely referencing grammar.  After
-  ``MAX_ATTEMPTS`` misses the input is checked once.  On a
-  structurally valid grammar an applicable kind has a fitting target,
-  which each draw hits with a chance above zero, so the draws end;
-  on any other, ``MutationTargetError`` is raised.
+  cycle-free rule pairs in a densely referencing grammar.  The input
+  is structurally valid, so an applicable kind has a fitting target,
+  which each draw hits with a chance above zero, and the draws end.
 - Forced: the caller names the target and ``_is_target`` checks its
   ranges and symbol types.
 
@@ -38,9 +39,9 @@ applied: ``_edit`` returns a patch, the new rhs tuple of each rule it
 creates or rewrites and None for each rule it removes.  The new grammar
 lays the patch over the input's rhs map, so every other rule keeps the
 input's own tuple, and the patch's ids are the outcome's ``touched``.
-The result goes through ``validate_grammar``'s structural check once,
-as a safety net against structurally invalid input; that check reads
-the new grammar's one walk, which ``expand`` reuses.
+Since ``_fits`` is exact on the checked input, the result is
+structurally valid without a check of its own, and nothing here walks
+it.
 
 Everything read off the input grammar (``rhs``, ``ids``, ``walk``,
 ``reach``, ``occurrences`` and each kind's applicability) is a fact
@@ -70,6 +71,9 @@ from .model import (
     validate_grammar,
 )
 
+#: Draws after which a mutation counts as starved.  Drawing goes on
+#: past it (see the module docstring); the benchmark's
+#: ``mutation.fallback.count`` counts the mutations that took more.
 MAX_ATTEMPTS = 100
 
 # Kind 18 builds a fresh rule with this many symbols.  The range is a
@@ -89,8 +93,7 @@ class InapplicableMutationError(TunegramError):
 
 class MutationTargetError(TunegramError):
     """Forced targets were unusable, or the input grammar was not
-    structurally valid (``MAX_ATTEMPTS`` draws missed, or the edit
-    failed the safety net)."""
+    structurally valid."""
 
 
 class NoApplicableMutationError(TunegramError):
@@ -276,10 +279,11 @@ def _draw(kind, g: Grammar, alphabet, rng):
 def _is_target(kind, rules, alphabet, t) -> bool:
     """True iff the forced target ``t`` names symbols and positions that
     exist, of the kind's symbol types, in distinct rules where the kind
-    needs two, leaves no rhs empty, and (kind 7) inserts a note of the
-    alphabet.  Whether its edit would close a cycle is :func:`_fits`'s
-    question.  Constant time for every kind but 18, whose body is read.
-    A target of the wrong shape may raise TypeError or ValueError."""
+    needs two, leaves no rhs empty, and (kinds 7 and 18) inserts only
+    notes of the alphabet.  Whether its edit would close a cycle is
+    :func:`_fits`'s question.  Constant time for every kind but 18,
+    whose body is read.  A target of the wrong shape may raise
+    TypeError or ValueError."""
     k = int(kind)
     typ = RuleRef if k <= 6 else Terminal
 
@@ -338,7 +342,8 @@ def _is_target(kind, rules, alphabet, t) -> bool:
     if k == 18:
         host, index, body = t
         return gap(host, index) and len(body) > 0 and all(
-            num(s.value) if isinstance(s, Terminal) else
+            num(s.value) and s.value in alphabet
+            if isinstance(s, Terminal) else
             isinstance(s, RuleRef) and num(s.rule_id) and s.rule_id in rules
             for s in body)
     (target,) = t  # kind 19
@@ -580,25 +585,30 @@ def apply_mutation(
     19   (rule,)
     ==== =========================================
 
-    Raises InapplicableMutationError when the precondition fails and
-    MutationTargetError when forced targets are unusable (attempts is
-    then 1).  Targets are drawn until one fits, and ``attempts`` counts
-    the draws.  After MAX_ATTEMPTS misses the input is checked once;
-    MutationTargetError is raised if it is not structurally valid.
-    Otherwise applicability guarantees a fitting target that a draw can
-    hit, and drawing goes on.
+    Raises InapplicableMutationError when the precondition fails.  Then
+    the input is checked once, with :func:`validate_grammar`, which
+    reads its cached walk; if it is not structurally valid,
+    MutationTargetError is raised before any draw, and no target is
+    tried in the hope that it repairs the input.  MutationTargetError
+    is also raised when forced targets are unusable (attempts is then
+    1).  Targets are drawn until one fits, and ``attempts`` counts the
+    draws; applicability guarantees a fitting target that a draw can
+    hit, so drawing goes on past MAX_ATTEMPTS.
 
     Only the accepted target is applied, as a patch of the rules it
-    rewrites; every other rule is shared with ``g``.  The result passes
-    :func:`validate_grammar`'s structural check.  On a structurally
-    valid grammar that check cannot fail.  If it does, the input was not
-    structurally valid, and MutationTargetError is raised at once: no
-    further targets are tried in the hope that one repairs the input.
+    rewrites; every other rule is shared with ``g``.  ``_fits`` is
+    exact on the checked input, so the result is structurally valid;
+    it is not walked.
     """
     kind = MutationKind(kind)
     if not applicable(g, kind):
         raise InapplicableMutationError(
             f"mutation {int(kind)} ({kind.code}) has no valid target here")
+    report = validate_grammar(g)
+    if not report.structural_ok:
+        raise MutationTargetError(
+            f"the input grammar is not structurally valid "
+            f"({report.structural_violations[0]})")
     if targets is not None:
         try:
             usable = _is_target(kind, g.rhs, alphabet, targets)
@@ -611,11 +621,6 @@ def apply_mutation(
     else:
         t, attempts = None, 0
         while t is None or not _fits(kind, g, t):
-            if attempts == MAX_ATTEMPTS and \
-                    not validate_grammar(g).structural_ok:
-                raise MutationTargetError(
-                    f"no target fits mutation {int(kind)} in {attempts} "
-                    f"draws: the input grammar is not structurally valid")
             t = _draw(kind, g, alphabet, rng)
             attempts += 1
     patch = _edit(kind, g, t)
@@ -623,12 +628,6 @@ def apply_mutation(
     # kind 18's new id is the highest, so it lands last.
     grammar = Grammar._from_rhs({
         i: rhs for i, rhs in {**g.rhs, **patch}.items() if rhs is not None})
-    report = validate_grammar(grammar)
-    if not report.structural_ok:
-        raise MutationTargetError(
-            f"mutation {int(kind)} gave an invalid grammar "
-            f"({report.structural_violations[0]}): the input grammar is "
-            f"not structurally valid")
     return MutationOutcome(kind, grammar, tuple(patch), attempts)
 
 

@@ -40,7 +40,6 @@ from .model import (
     Tune,
     TuneTooShortError,
     UnknownRuleError,
-    postorder,
 )
 
 __all__ = [
@@ -243,38 +242,50 @@ def induce(tune: Sequence[int]) -> Grammar:
 def expand_rule(g: Grammar, rule_id: int) -> Tune:
     """The terminal sequence a single rule unrolls to.
 
-    A fold over :func:`~tunegram.model.postorder`, so each reachable
-    rule is expanded once, after the rules it references.  The root
-    folds the grammar's shared :attr:`~tunegram.model.Grammar.walk` up
-    to itself, which is the root's own walk.  The first fault met in
-    that order is raised: an empty rhs, a missing rule
-    (UnknownRuleError), or a cycle (a reference not yet expanded).
+    One depth-first pass in rhs order that writes notes straight into
+    one output list, iterative, so chains of any depth are fine.  A
+    rule's first use is expanded in place and its ``(start, stop)``
+    span in the output recorded; every later use copies that span.  The
+    time and memory are linear in the output plus the rules reached.
+    The first fault met in rhs order is raised: an empty rhs, a missing
+    rule (UnknownRuleError), or a cycle (a reference to a rule still
+    being expanded).
     """
-    if rule_id not in g:
-        raise UnknownRuleError(f"no rule with id {rule_id}")
     rules = g.rhs
-    memo: dict[int, Tune] = {}
-    order = g.walk[0] if rule_id == ROOT_ID \
-        else postorder(rules, (rule_id,))[0]
-    for rid in order:
-        if not rules[rid]:
-            raise GrammarStructureError(f"rule p{rid} has an empty rhs")
-        parts: list[int] = []
-        for sym in rules[rid]:
+    if rule_id not in rules:
+        raise UnknownRuleError(f"no rule with id {rule_id}")
+    out: list[int] = []
+    append = out.append
+    # rule -> its span in out, or None while it is being expanded
+    spans: dict[int, tuple[int, int] | None] = {rule_id: None}
+    path, starts, rhs_iters = [rule_id], [0], [iter(rules[rule_id])]
+    while path:
+        for sym in rhs_iters[-1]:
             if isinstance(sym, Terminal):
-                parts.append(sym.value)
-            elif sym.rule_id in memo:
-                parts.extend(memo[sym.rule_id])
-            elif sym.rule_id in rules:
-                raise GrammarStructureError(
-                    f"reference cycle through p{sym.rule_id}")
-            else:
+                append(sym.value)
+                continue
+            child = sym.rule_id
+            span = spans.get(child)
+            if span is not None:
+                out += out[span[0]:span[1]]
+            elif child in spans:
+                raise GrammarStructureError(f"reference cycle through p{child}")
+            elif child not in rules:
                 raise UnknownRuleError(
-                    f"rule p{rid} references missing rule p{sym.rule_id}")
-        memo[rid] = tuple(parts)
-        if rid == rule_id:
-            break
-    return memo[rule_id]
+                    f"rule p{path[-1]} references missing rule p{child}")
+            else:
+                spans[child] = None
+                path.append(child)
+                starts.append(len(out))
+                rhs_iters.append(iter(rules[child]))
+                break  # descend; this rhs resumes after the child
+        else:
+            x, start = path.pop(), starts.pop()
+            if start == len(out):  # only an empty rhs unrolls to nothing
+                raise GrammarStructureError(f"rule p{x} has an empty rhs")
+            spans[x] = (start, len(out))
+            rhs_iters.pop()
+    return tuple(out)
 
 
 def expand(g: Grammar) -> Tune:

@@ -256,6 +256,19 @@ def test_forced_targets_out_of_range(crafted):
                        targets=(0, 0, 999))  # value outside the alphabet
 
 
+def test_forced_new_rule_body_keeps_to_the_alphabet(crafted):
+    # As with kind 7, a new rule's notes come from the alphabet (1-6).
+    with pytest.raises(MutationTargetError):
+        apply_mutation(crafted, 18, alpha(crafted), RandomSource(0),
+                       targets=(0, 0, (Terminal(99),)))
+    with pytest.raises(MutationTargetError):
+        apply_mutation(crafted, 18, alpha(crafted), RandomSource(0),
+                       targets=(0, 0, (Terminal(6), RuleRef(1), Terminal(0))))
+    out = apply_mutation(crafted, 18, alpha(crafted), RandomSource(0),
+                         targets=(0, 0, (Terminal(6), RuleRef(1))))
+    assert out.grammar.rhs[3] == (Terminal(6), RuleRef(1))
+
+
 @pytest.mark.parametrize("kind,targets", [
     (1, (1, 0)),                    # one slot short
     (19, (1, 2)),                   # one slot too many
@@ -498,6 +511,21 @@ def test_a_mutation_shares_every_rule_it_does_not_touch(crafted,
                 assert g.rhs.keys() ^ new.keys() <= touched, (kind, touched)
 
 
+def test_mutated_grammars_are_never_walked(crafted, mini_corpus):
+    # apply_mutation checks its input, not its result, and expand makes
+    # its own pass, so neither computes the new grammar's walk.
+    grammars = [crafted] + [induce(ct.tune) for ct in mini_corpus[:4]]
+    for n, g in enumerate(grammars):
+        a = alpha(g)
+        for kind in MutationKind:
+            if not applicable(g, kind):
+                continue
+            out = apply_mutation(g, kind, a,
+                                 RandomSource(derive_seed(n, kind)))
+            expand(out.grammar)
+            assert "walk" not in out.grammar.__dict__, (kind, n)
+
+
 def test_cached_views_neither_go_stale_nor_leak(mini_corpus):
     # Every view a grammar caches is read first; the answers and the
     # mutations must then match a fresh grammar of the same rules, which
@@ -697,9 +725,9 @@ def test_mutated_grammars_keep_their_rules_in_id_order(mini_corpus):
 # draws past MAX_ATTEMPTS
 
 
-def test_fallback_rescues_starved_sampling(mini_corpus, monkeypatch):
-    # with the input checked after a single draw, many applications
-    # must go on drawing past that check; none may fail
+def test_draws_go_on_past_max_attempts(mini_corpus, monkeypatch):
+    # with MAX_ATTEMPTS at a single draw, many applications must go on
+    # drawing past it; none may fail
     monkeypatch.setattr(mutation_module, "MAX_ATTEMPTS", 1)
     for ci, ct in enumerate(mini_corpus[:4]):
         g = induce(ct.tune)
@@ -826,21 +854,25 @@ def test_forced_targets_are_exactly_the_listed_ones():
                         == (u in listed), (kind, u, render_grammar(g))
 
 
-def test_invalid_input_is_refused_once_the_draws_miss(monkeypatch):
+def test_invalid_input_is_refused_before_any_draw():
     # p0 is empty.  Seed 0's first draw puts p1 into p1 itself and
     # misses; putting it into p0 would fit, and even repair the input.
-    # After MAX_ATTEMPTS misses the input is checked and refused, and
-    # no further draw is made.
-    monkeypatch.setattr(mutation_module, "MAX_ATTEMPTS", 1)
+    # The input is checked once, right after the applicability check,
+    # and refused before any draw, so the source is left untouched; the
+    # repairing target is refused when forced, too.
     g = parse_grammar("p0 -> ; p1 -> 1")
     a = NoteAlphabet((1,))
     assert applicable(g, MutationKind.ADD_RULE_REF)
-    rng, twin = RandomSource(0), RandomSource(0)
-    t = mutation_module._draw(MutationKind.ADD_RULE_REF, g, a, twin)
+    t = mutation_module._draw(MutationKind.ADD_RULE_REF, g, a, RandomSource(0))
     assert not mutation_module._fits(MutationKind.ADD_RULE_REF, g, t)
+    assert mutation_module._fits(MutationKind.ADD_RULE_REF, g, (1, 0, 0))
+    rng = RandomSource(0)
     with pytest.raises(MutationTargetError, match="not structurally valid"):
         apply_mutation(g, MutationKind.ADD_RULE_REF, a, rng)
-    assert rng.below(2**30) == twin.below(2**30)
+    assert rng.below(2**30) == RandomSource(0).below(2**30)
+    with pytest.raises(MutationTargetError, match="not structurally valid"):
+        apply_mutation(g, MutationKind.ADD_RULE_REF, a, RandomSource(0),
+                       targets=(1, 0, 0))
 
 
 def test_long_run_with_a_starved_definition_swap(mini_corpus):

@@ -129,20 +129,38 @@ def test_expand_rule_errors():
 
 
 def test_expand_raises_the_first_fault_in_expansion_order():
-    # Rules expand after the rules they reference: p2 comes first and
-    # closes the cycle through p1 before p1's dangling p9 is met.
+    # Expansion goes in rhs order: p1's first symbol, p2, closes the
+    # cycle through p1 before p1's dangling p9 is met.
     g = parse_grammar("p0 -> p1; p1 -> p2 p9; p2 -> p1 5")
     with pytest.raises(GrammarStructureError, match="cycle through p1"):
         expand(g)
-    # Here p2, with its dangling p9, expands before p1 and its self-loop.
+    # Here p2, with its dangling p9, comes before p1 and its self-loop.
     g = parse_grammar("p0 -> p2 p1; p1 -> p1 5; p2 -> p9 4")
     with pytest.raises(UnknownRuleError, match="missing rule p9"):
         expand(g)
 
 
+def test_expand_raises_the_first_fault_in_rhs_order():
+    # Expansion is one pass in rhs order: p0's dangling p9 comes before
+    # p1's self-loop.  A fold over a postorder walk, which skips missing
+    # rules, met the cycle first.  Both are GrammarStructureErrors.
+    g = parse_grammar("p0 -> p9 p1; p1 -> p1")
+    with pytest.raises(UnknownRuleError,
+                       match="p0 references missing rule p9"):
+        expand(g)
+    g = parse_grammar("p0 -> p1 p9; p1 -> p1")
+    with pytest.raises(GrammarStructureError, match="cycle through p1"):
+        expand(g)
+    # An empty rhs is met where its rule is first used.
+    g = parse_grammar("p0 -> 1 p2 p1; p1 -> p1; p2 ->")
+    with pytest.raises(GrammarStructureError, match="p2 has an empty rhs"):
+        expand(g)
+    with pytest.raises(GrammarStructureError, match="p2 has an empty rhs"):
+        expand_rule(g, 2)
+
+
 def test_expand_leaves_out_faults_the_root_does_not_reach():
-    # The shared walk covers every rule; expansion folds it only up to
-    # the root, which comes first.
+    # Expansion follows the references from the root only.
     g = parse_grammar("p0 -> 1 p2; p2 -> 3; p7 ->")
     assert expand(g) == (1, 3)
     g = parse_grammar("p0 -> 1 p2; p2 -> 3; p5 -> p6; p6 -> p5 4")
@@ -151,14 +169,36 @@ def test_expand_leaves_out_faults_the_root_does_not_reach():
 
 
 def test_expand_rule_matches_a_fold_over_its_own_walk(mini_corpus):
-    for ct in mini_corpus:
-        g = induce(ct.tune)
+    rnd = random.Random(22)
+    tunes = [ct.tune for ct in mini_corpus] + [
+        [rnd.randrange(k) for _ in range(rnd.randrange(1, 200))]
+        for k in rnd.choices((2, 3, 5, 12), k=300)]
+    for t in tunes:
+        g = induce(t)
         for r in g.rhs:
             memo = {}
             for x in postorder(g.rhs, (r,))[0]:
                 memo[x] = tuple(v for s in g.rhs[x] for v in (
                     (s.value,) if isinstance(s, Terminal) else memo[s.rule_id]))
             assert expand_rule(g, r) == memo[r]
+
+
+def test_expand_of_a_rule_chain_is_output_linear():
+    # p_i -> p_(i+1) 5: a fold that keeps every rule's expansion holds
+    # about R**2 / 2 notes, some 8 million at R = 4,000.  One pass keeps
+    # the output and one span per rule.
+    r = 4000
+    g = Grammar({**{i: [RuleRef(i + 1), Terminal(5)] for i in range(r)},
+                 r: [Terminal(5), Terminal(6)]})
+    tracemalloc.start()
+    try:
+        out = expand(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
+    assert out == (5, 6) + (5,) * r
+    assert "walk" not in g.__dict__
 
 
 def test_expand_deep_grammar_is_iterative():
