@@ -44,7 +44,8 @@ class CorpusTune:
 
 def _parse_tune_file(path) -> Tune:
     notes: list[int] = []
-    text = path.read_text(encoding="utf-8")
+    # utf-8-sig drops the byte-order mark some editors write first
+    text = path.read_text(encoding="utf-8-sig")
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue

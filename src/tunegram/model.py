@@ -11,10 +11,13 @@ map from rule id to rhs.  It owns every view derived from them, each
 computed once, on first read, and shared by every caller: its ids as a
 list (``ids``), its walk of the reference graph (``walk``, one
 :func:`postorder` over every rule, which also records empty rhs and
-missing references), its reachability sets (``reach``), its symbol
-occurrences (``occurrences``) and its mutation applicability answers.
-Validation, ``reach`` and rule removal (mutation kind 19) read the one
-walk; expansion does not, since it makes its own pass in rhs order.
+missing references), its symbol occurrences (``occurrences``), its
+mutation applicability answers, and its reference-graph facts as int
+bitmasks, one bit per rule (``bit``): the rules each rule reaches
+(``reach``, an OR-fold over the walk) and the rules whose removal takes
+each rule out (``needs``, an AND-fold).  Validation and both folds read
+the one walk; expansion does not, since it makes its own pass in rhs
+order.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from __future__ import annotations
 import enum
 import functools
 import re
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -130,27 +132,52 @@ class Grammar:
         """``postorder(rhs, rhs)``: every rule after the rules it
         references, the first cycle met, and the faults met on the way;
         read-only, computed on first read.  Read by
-        :func:`validate_grammar`, :attr:`reach` and rule removal
-        (mutation kind 19), not by expansion.  The root, when present,
-        is the first start, so the order up to and including it is
+        :func:`validate_grammar` and the folds :attr:`reach` and
+        :attr:`needs`, not by expansion.  The root, when present, is the
+        first start, so the order up to and including it is
         ``postorder(rhs, (ROOT_ID,))``'s."""
         return postorder(self.rhs, self.rhs)
 
     @functools.cached_property
-    def reach(self) -> dict[int, frozenset[int]]:
-        """Rule id -> every rule it reaches through one or more
-        references; read-only, computed on first read.  A fold over
-        :attr:`walk`, so a rule chain of any depth is fine.  Exact on
-        acyclic grammars; on cyclic ones the walk skips the references
-        that close a cycle, so the sets come out partial instead of the
-        fold looping."""
-        rules = self.rhs
-        reach: dict[int, frozenset[int]] = {}
+    def bit(self) -> dict[int, int]:
+        """Rule id -> ``1 << i``, ``i`` its place in :attr:`ids`: its bit
+        in the masks below, dense whatever the ids; read-only, computed
+        on first read."""
+        return {x: 1 << i for i, x in enumerate(self.ids)}
+
+    @functools.cached_property
+    def reach(self) -> dict[int, int]:
+        """Rule id -> the mask (:attr:`bit`) of every rule it reaches
+        through one or more references; read-only, computed on first
+        read.  An OR-fold over :attr:`walk`, so a chain of any depth is
+        fine.  Exact on acyclic grammars; on cyclic ones the walk skips
+        the references that close a cycle, so the masks come out partial."""
+        rules, bit, reach = self.rhs, self.bit, {}
         for x in self.walk[0]:
-            children = frozenset(s.rule_id for s in rules[x]
-                                 if isinstance(s, RuleRef) and s.rule_id in rules)
-            reach[x] = children.union(*(reach.get(c, ()) for c in children))
+            m = 0
+            for s in rules[x]:
+                if isinstance(s, RuleRef) and s.rule_id in bit:
+                    m |= bit[s.rule_id] | reach.get(s.rule_id, 0)
+            reach[x] = m
         return reach
+
+    @functools.cached_property
+    def needs(self) -> dict[int, int]:
+        """Rule id -> the mask (:attr:`bit`) of the rules whose removal
+        takes it out: itself and, if its rhs is non-empty and holds only
+        references, the rules whose removal takes out every rule it
+        references; read-only, computed on first read.  An AND-fold over
+        :attr:`walk`, exact on acyclic grammars."""
+        rules, bit, needs = self.rhs, self.bit, {}
+        for x in self.walk[0]:
+            m = -1 if rules[x] else 0  # -1: every bit, the AND of no masks
+            for s in rules[x]:
+                if not isinstance(s, RuleRef):
+                    m = 0
+                    break
+                m &= needs.get(s.rule_id, 0)
+            needs[x] = bit[x] | m
+        return needs
 
     @functools.cached_property
     def occurrences(self) -> dict[type, list[tuple[int, int]]]:
@@ -173,13 +200,13 @@ class Grammar:
         return len(self.rhs)
 
 
-def reference_counts(g: Grammar) -> Counter[int]:
-    """How many times each rule id is referenced across all rhs."""
-    counts: Counter[int] = Counter()
+def reference_counts(g: Grammar) -> dict[int, int]:
+    """Each rule id -> how many times it is referenced across all rhs."""
+    counts = dict.fromkeys(g.rhs, 0)
     for rhs in g.rhs.values():
         for sym in rhs:
             if isinstance(sym, RuleRef):
-                counts[sym.rule_id] += 1
+                counts[sym.rule_id] = counts.get(sym.rule_id, 0) + 1
     return counts
 
 

@@ -28,25 +28,27 @@ path: target, fit rule, edit.
 
 The fit rule ``_fits`` is exact on a structurally valid grammar: an
 edit there can only fail by closing a reference cycle or by taking out
-the root (kind 19 takes out the rules it leaves empty, ``_taken_out``),
-since every source rules out an emptied rhs.  ``_fits`` builds the
-references a target adds and accepts it iff no added reference
-``x -> c`` has ``c`` equal to ``x`` or reaching ``x`` in the grammar
-before the edit (:attr:`~tunegram.model.Grammar.reach`).
-A kind is applicable iff some target fits; kinds 6 and 17 count their
-failing pairs instead of scanning them.  Only the accepted target is
-applied: ``_edit`` returns a patch, the new rhs tuple of each rule it
-creates or rewrites and None for each rule it removes.  The new grammar
-lays the patch over the input's rhs map, so every other rule keeps the
-input's own tuple, and the patch's ids are the outcome's ``touched``.
-Since ``_fits`` is exact on the checked input, the result is
-structurally valid without a check of its own, and nothing here walks
-it.
+the root (kind 19 takes out the rules it leaves empty), since every
+source rules out an emptied rhs.  Each fit is one test of a bit in the
+input's masks (:attr:`~tunegram.model.Grammar.bit`): kind 19 fits iff
+the root does not need the removed rule
+(:attr:`~tunegram.model.Grammar.needs`), every other kind iff no
+reference ``x -> c`` it adds has ``c`` equal to ``x`` or reaching ``x``
+(:attr:`~tunegram.model.Grammar.reach`).  A kind is applicable iff some
+target fits, which ``_decide`` reads off the occurrences, the rhs
+lengths and those masks, never listing targets.  Only the accepted
+target is applied: ``_edit`` returns a patch, the new rhs tuple of each
+rule it creates or rewrites and None for each rule it removes.  The new
+grammar lays the patch over the input's rhs map, so every other rule
+keeps the input's own tuple, and the patch's ids are the outcome's
+``touched``.  Since ``_fits`` is exact on the checked input, the result
+is structurally valid without a check of its own, and nothing here
+walks it.
 
 Everything read off the input grammar (``rhs``, ``ids``, ``walk``,
-``reach``, ``occurrences`` and each kind's applicability) is a fact
-the grammar owns, computed once and shared; ``_run`` bisects a host's
-own occurrences out of ``occurrences``.
+``bit``, ``reach``, ``needs``, ``occurrences`` and each kind's
+applicability) is a fact the grammar owns, computed once and shared;
+``_run`` bisects a host's own occurrences out of ``occurrences``.
 """
 
 from __future__ import annotations
@@ -54,10 +56,9 @@ from __future__ import annotations
 import random
 import struct
 from bisect import bisect_left
-from collections import Counter
 from _blake2 import blake2b  # hashlib's own; importing hashlib loads OpenSSL
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .model import (
     ROOT_ID,
@@ -188,26 +189,8 @@ def _new_body(ids: list[int], alphabet: NoteAlphabet,
     return tuple(body)
 
 
-def _taken_out(rules: Mapping[int, Sequence[Symbol]], order: Iterable[int],
-               target: int) -> set[int]:
-    """The rules that removing ``target`` takes out: ``target`` and every
-    rule whose non-empty rhs holds only references to rules taken out.
-    One pass over ``order``, a walk that lists each rule after the rules
-    it references, so it is exact on an acyclic grammar."""
-    taken = {target}
-    for x in order:
-        rhs = rules[x]
-        for s in rhs:  # a loop, not all(): no generator per rule
-            if not isinstance(s, RuleRef) or s.rule_id not in taken:
-                break
-        else:
-            if rhs:
-                taken.add(x)
-    return taken
-
-
 # ---------------------------------------------------------------------------
-# targets: draw, check, enumerate, fit and edit (see the module docstring)
+# targets: draw, check, fit and edit (see the module docstring)
 
 
 def _draw(kind, g: Grammar, alphabet, rng):
@@ -248,7 +231,8 @@ def _draw(kind, g: Grammar, alphabet, rng):
                 return host, r, length
             r -= n - length + 1
     occs = g.occurrences[Terminal if 8 <= k <= 12 else RuleRef]
-    host, index = rng.choose(occs)
+    me = rng.below(len(occs))  # rng.choose(occs), keeping the place
+    host, index = occs[me]
     n = len(rules[host])
     if k in (2, 8):
         return (host, index) if n > 1 else None
@@ -265,9 +249,12 @@ def _draw(kind, g: Grammar, alphabet, rng):
     if k in (13, 14):
         occs = g.occurrences[Terminal]
     start, stop = _run(occs, host)
-    if k in (5, 11, 13):  # a partner in the host
-        partners = [i for _, i in occs[start:stop] if i != index]
-        return (host, index, rng.choose(partners)) if partners else None
+    if k in (5, 11, 13):  # rng.choose over the host's run but the drawn one
+        own = k != 13  # kind 13's run holds notes, not the drawn reference
+        if stop - start == own:
+            return None
+        p = start + rng.below(stop - start - own)
+        return host, index, occs[p + (own and p >= me)][1]
     # rng.choose over the partners in other rules: occs without the
     # host's own occurrences, which form one run
     if len(occs) == stop - start:
@@ -280,10 +267,10 @@ def _is_target(kind, rules, alphabet, t) -> bool:
     """True iff the forced target ``t`` names symbols and positions that
     exist, of the kind's symbol types, in distinct rules where the kind
     needs two, leaves no rhs empty, and (kinds 7 and 18) inserts only
-    notes of the alphabet.  Whether its edit would close a cycle is
-    :func:`_fits`'s question.  Constant time for every kind but 18,
-    whose body is read.  A target of the wrong shape may raise
-    TypeError or ValueError."""
+    notes of the alphabet; like kind 1, kind 18 adds no reference to the
+    root.  Whether its edit would close a cycle is :func:`_fits`'s
+    question.  Constant time for every kind but 18, whose body is read.
+    A target of the wrong shape may raise TypeError or ValueError."""
     k = int(kind)
     typ = RuleRef if k <= 6 else Terminal
 
@@ -345,74 +332,21 @@ def _is_target(kind, rules, alphabet, t) -> bool:
             num(s.value) and s.value in alphabet
             if isinstance(s, Terminal) else
             isinstance(s, RuleRef) and num(s.rule_id) and s.rule_id in rules
-            for s in body)
+            and s.rule_id != ROOT_ID for s in body)
     (target,) = t  # kind 19
     return target in rules and target != ROOT_ID
 
 
-def _targets(kind, g: Grammar):
-    """Every target tuple the kind's random draw could produce, lazily,
-    for every kind but 7 and 18, which :func:`_decide` answers itself.
-
-    Shapes match the forced-``targets`` contract of
-    :func:`apply_mutation`; of the symmetric pairs (kinds 5, 6, 11, 12
-    and 17) one order is listed.  Targets are filtered only for the
-    cheap local conditions the draw itself enforces (the rhs that would
-    be emptied, the partner that must exist); whether the edit would
-    close a reference cycle is :func:`_fits`'s question.
-    """
-    rules, ids = g.rhs, g.ids
-    k = int(kind)
-    if 2 <= k <= 6 or 8 <= k <= 12:
-        occs = g.occurrences[RuleRef if k <= 6 else Terminal]
-    if k == 1:
-        yield from ((r, h, ix) for r in ids if r != ROOT_ID for h in ids
-                    for ix in range(len(rules[h]) + 1))
-    elif k in (2, 8):
-        yield from ((h, i) for h, i in occs if len(rules[h]) > 1)
-    elif k in (3, 9):
-        yield from ((h, i, j) for h, i in occs
-                    for j in range(len(rules[h])) if j != i)
-    elif k in (4, 10):
-        yield from ((h, i, other, ix) for h, i in occs if len(rules[h]) > 1
-                    for other in ids if other != h
-                    for ix in range(len(rules[other]) + 1))
-    elif k in (5, 11):  # a host's later occurrences follow it directly
-        yield from ((h, i, j) for n, (h, i) in enumerate(occs)
-                    for _, j in occs[n + 1:_run(occs, h)[1]])
-    elif k in (6, 12):
-        yield from ((h1, i1, h2, i2) for n, (h1, i1) in enumerate(occs)
-                    for h2, i2 in occs[n + 1:] if h2 != h1)
-    elif k == 13:
-        terms = g.occurrences[Terminal]
-        yield from ((h, i, j) for h, i in g.occurrences[RuleRef]
-                    for _, j in terms[slice(*_run(terms, h))])
-    elif k == 14:
-        terms = g.occurrences[Terminal]
-        yield from ((h1, i, h2, j) for h1, i in g.occurrences[RuleRef]
-                    for h2, j in terms if h1 != h2)
-    elif k == 15:
-        yield from ((h,) for h in ids)
-    elif k == 16:
-        yield from ((h, s, ln) for h in ids if len(rules[h]) >= 3
-                    for ln in range(2, len(rules[h]))
-                    for s in range(len(rules[h]) - ln + 1))
-    elif k == 17:
-        yield from ((a, b) for n, a in enumerate(ids) for b in ids[n + 1:])
-    elif k == 19:
-        yield from ((r,) for r in ids if r != ROOT_ID)
-
-
 def _fits(kind, g: Grammar, t) -> bool:
     """True iff applying target ``t`` of ``kind`` to the acyclic
-    grammar ``g`` gives a structurally valid grammar.
+    grammar ``g`` gives a structurally valid grammar; one bit test.
 
-    Kind 19 fits iff the rules its removal takes out
-    (:func:`_taken_out`) spare the root.  Every other kind fits iff no
-    reference ``x -> c`` it adds has ``x == c`` or ``x`` reachable from
-    ``c``.  A kind that moves notes, or removes or reorders references
-    within one rule, adds none and fits at once, never reading
-    ``g.reach``.  That is exact: a new cycle must use an added
+    Kind 19 fits iff the root does not need the removed rule
+    (:attr:`~tunegram.model.Grammar.needs`).  Every other kind fits iff
+    no reference ``x -> c`` it adds has ``x == c`` or ``x`` in
+    ``reach[c]``.  A kind that moves notes, or removes or reorders
+    references within one rule, adds none and fits at once, never
+    reading ``g.reach``.  That is exact: a new cycle must use an added
     reference; a shortest one that used a removed reference would close
     an old cycle, and for kinds 6 and 17 one through both added
     references does too.  For a definition swap (kind 17) of ``a`` and
@@ -420,10 +354,10 @@ def _fits(kind, g: Grammar, t) -> bool:
     """
     k, rules = int(kind), g.rhs
     if k == 19:
-        return ROOT_ID not in _taken_out(rules, g.walk[0], t[0])
+        return not g.needs.get(ROOT_ID, 0) & g.bit[t[0]]
     if k == 17:
         a, b = t
-        return a not in g.reach[b] and b not in g.reach[a]
+        return not (g.reach[a] & g.bit[b] or g.reach[b] & g.bit[a])
     if k == 1:
         ref, host, _ = t
         added = [(host, ref)]
@@ -439,15 +373,14 @@ def _fits(kind, g: Grammar, t) -> bool:
         added = [(host, s.rule_id) for s in body if isinstance(s, RuleRef)]
     else:
         return True
-    return not any(x == c or x in g.reach.get(c, ()) for x, c in added)
+    return not any(x == c or g.reach[c] & g.bit[x] for x, c in added)
 
 
 def _edit(kind, g: Grammar, t) -> dict[int, tuple[Symbol, ...] | None]:
     """The patch that applies target ``t`` of ``kind`` to ``g``: the new
     rhs of each rule it creates or rewrites, and None for each rule it
     removes.  The rules ``g`` keeps are left alone, to be shared.  ``t``
-    must pass :func:`_is_target` (a drawn or enumerated one does) and
-    :func:`_fits`."""
+    must pass :func:`_is_target` (a drawn one does) and :func:`_fits`."""
     k, rules = int(kind), g.rhs
     if k == 1:
         ref, host, index = t
@@ -497,7 +430,8 @@ def _edit(kind, g: Grammar, t) -> dict[int, tuple[Symbol, ...] | None]:
         rhs = rules[host]
         return {new_id: tuple(body),
                 host: rhs[:index] + (RuleRef(new_id),) + rhs[index:]}
-    taken = _taken_out(rules, g.walk[0], t[0])  # kind 19
+    removed = g.bit[t[0]]  # kind 19: out go the rules that need it
+    taken = {x for x, m in g.needs.items() if m & removed}
     patch = {}
     for x, rhs in rules.items():
         if x in taken:
@@ -513,8 +447,8 @@ def _edit(kind, g: Grammar, t) -> dict[int, tuple[Symbol, ...] | None]:
 
 def applicable(g: Grammar, kind: MutationKind) -> bool:
     """True iff some concrete choice of targets lets apply_mutation
-    succeed: some target of the kind fits (see :func:`_fits`).  Kinds 6
-    and 17 count their failing pairs instead, exact on acyclic input.
+    succeed: some target of the kind fits (see :func:`_fits`), in closed
+    form (:func:`_decide`), exact on acyclic input, a bool on any input.
     Decided once per grammar and kind; ``g`` keeps the answer."""
     kind = MutationKind(kind)
     memo = g._applicable
@@ -524,35 +458,71 @@ def applicable(g: Grammar, kind: MutationKind) -> bool:
 
 
 def _decide(g: Grammar, kind: MutationKind) -> bool:
-    if kind in (MutationKind.ADD_NOTE, MutationKind.ADD_RULE):
-        return bool(g.rhs)  # notes, or a rule of notes, fit in any rule
-    rules = g.rhs
-    if kind == MutationKind.SWAP_RULE_REFS_ACROSS:
-        occs = g.occurrences[RuleRef]
-        referents = [rules[h][i].rule_id for h, i in occs]
-        own = Counter(h for h, _ in occs)  # refs hosted
-        host_of: dict[int, int] = {}
-        for (h, _), r in zip(occs, referents):
-            if host_of.setdefault(r, h) != h:
-                return True  # swapping two references to r adds none
-        # Now the two referents of a pair across hosts differ, and the
-        # pair fails iff one is the other's host or reaches it; both ways
-        # would close a cycle, so at most one way holds.  An occurrence of
-        # r thus fails with exactly the weight[r] references hosted in r
-        # or in a rule r reaches, and some pair fits iff the pairs across
-        # hosts outnumber the failing ones.
-        weight = {r: own[r] + sum(map(own.__getitem__, g.reach[r]))
-                  for r in host_of if r in rules}
-        n = len(occs)
-        cross = n * (n - 1) // 2 - sum(m * (m - 1) // 2 for m in own.values())
-        return cross > sum(weight.get(r, 0) for r in referents)
-    if kind == MutationKind.SWAP_DEFINITIONS:
+    """Whether some target of ``kind`` fits in ``g`` (R rules), read off
+    its occurrences, rhs lengths and masks.  A kind that adds no
+    reference fits wherever it has a target: a symbol to take out of a
+    longer rhs, a partner, a span.  One that adds ``x -> c`` needs an
+    ``x`` outside ``bit[c] | reach[c]``; kind 19 a rule the root does
+    not need."""
+    k, rules, n = int(kind), g.rhs, len(g.rhs)
+    if k in (7, 15, 18):
+        return n > 0  # notes, or a rule of notes, fit in any rule
+    if k == 16:
+        return any(len(rhs) > 2 for rhs in rules.values())
+    if k == 19:
+        return n > g.needs.get(ROOT_ID, 0).bit_count()
+    if k == 1:
+        bit, reach = g.bit, g.reach
+        return any((bit[r] | reach[r]).bit_count() < n
+                   for r in g.ids if r != ROOT_ID)
+    if k == 17:
         # Acyclic: each unordered pair of rules is reachable one way at
-        # most, so the reachable pairs number sum(|reach[x]|), and some
-        # pair is free of reachability iff that falls short of C(R, 2).
-        n = len(rules)
-        return sum(map(len, g.reach.values())) < n * (n - 1) // 2
-    return any(_fits(kind, g, t) for t in _targets(kind, g))
+        # most, so the reachable pairs number the reach masks' bits, and
+        # some pair is free of reachability iff that falls short of C(R, 2).
+        return sum(m.bit_count() for m in g.reach.values()) < n * (n - 1) // 2
+    refs, notes = g.occurrences[RuleRef], g.occurrences[Terminal]
+    occs = refs if k <= 6 else notes
+    if k in (2, 3, 8, 9, 10):
+        return (k != 10 or n > 1) and any(len(rules[h]) > 1 for h, _ in occs)
+    if k in (5, 11):  # a host's occurrences form one run
+        return any(a[0] == b[0] for a, b in zip(occs, occs[1:]))
+    if k == 12:
+        return bool(notes) and notes[0][0] != notes[-1][0]
+    if k == 13:
+        return not {h for h, _ in refs}.isdisjoint(h for h, _ in notes)
+    if k in (4, 14):
+        # A reference c moves from h1 to some rule h2 (kind 4: any rule;
+        # kind 14: one that holds a note) outside bit[h1] | bit[c] | reach[c].
+        bit, reach = g.bit, g.reach
+        hosts = (1 << n) - 1 if k == 4 else \
+            sum(bit[h] for h in {h for h, _ in notes})
+        moves = {(h, rules[h][i].rule_id) for h, i in refs
+                 if k == 14 or len(rules[h]) > 1}
+        return any(hosts & ~(bit[h] | bit.get(c, 0) | reach.get(c, 0))
+                   for h, c in moves)
+    # Kind 6.  Swapping two references to one rule adds none.
+    host_of: dict[int, int] = {}
+    for h, i in refs:
+        if host_of.setdefault(rules[h][i].rule_id, h) != h:
+            return True
+    # Now the two referents of a pair across hosts differ, and the pair
+    # fails iff one is the other's host or reaches it; both ways would
+    # close a cycle, so at most one way holds.  An occurrence of r thus
+    # fails with exactly the references hosted in r or in a rule r
+    # reaches: the bits of under[r], an OR-fold of each host's run of
+    # places in refs.  Some pair fits iff the pairs across hosts
+    # outnumber the failing ones.
+    under, cross = {}, len(refs) * (len(refs) - 1) // 2
+    for x in g.walk[0]:
+        start, stop = _run(refs, x)
+        cross -= (stop - start) * (stop - start - 1) // 2  # pairs within x
+        m = (1 << stop) - (1 << start)
+        for s in rules[x]:
+            if isinstance(s, RuleRef):
+                m |= under.get(s.rule_id, 0)
+        under[x] = m
+    return cross > sum(under.get(rules[h][i].rule_id, 0).bit_count()
+                       for h, i in refs)
 
 
 def apply_mutation(

@@ -50,6 +50,13 @@ def test_parses_negative_and_mixed_separators(tmp_path):
     assert got.tune == (0, -4, 12, -1)
 
 
+def test_parses_a_file_that_starts_with_a_byte_order_mark(tmp_path):
+    p = tmp_path / "bom.txt"
+    p.write_bytes(b"\xef\xbb\xbf1 2 3\n4\n")
+    (got,) = load_corpus(p)
+    assert got.tune == (1, 2, 3, 4)
+
+
 def test_reports_bad_token_position(tmp_path):
     p = tmp_path / "bad.txt"
     p.write_text("2, x, 4\n")

@@ -104,7 +104,7 @@ def test_grammar_pickles_before_and_after_reach_is_read():
     g = parse_grammar("p0 -> p1 p2 p1; p1 -> 1 2; p2 -> p1 3")
     fresh = pickle.loads(pickle.dumps(g))
     assert fresh == g and fresh.rhs == g.rhs
-    assert g.reach == {0: frozenset({1, 2}), 1: frozenset(), 2: frozenset({1})}
+    assert g.reach == {0: 0b110, 1: 0, 2: 0b010}  # p1 -> bit 1, p2 -> bit 2
     copy = pickle.loads(pickle.dumps(g))
     assert copy == g and copy.rhs == g.rhs and copy.reach == g.reach
     assert copy.rhs[2] == g.rhs[2] and tuple(copy.rhs) == (0, 1, 2)
@@ -182,8 +182,9 @@ def test_postorder_lists_children_first_and_finds_cycles(rules, starts):
             assert RuleRef(b) in rules[a]
     if not any(_reaches(rules, x, x) for x in rules):
         g = Grammar(rules)
-        assert g.reach == {x: frozenset(y for y in rules if _reaches(rules, x, y))
-                           for x in rules}
+        assert g.reach == {
+            x: sum(g.bit[y] for y in rules if _reaches(rules, x, y))
+            for x in rules}
 
 
 def test_postorder_on_a_deep_chain_is_iterative():

@@ -7,6 +7,7 @@ import pickle
 import random
 import struct
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ import hypothesis.strategies as st
 
 import tunegram.mutation as mutation_module
 from tunegram.model import (
+    ROOT_ID,
     Grammar,
     MutationKind,
     NoteAlphabet,
@@ -44,6 +46,61 @@ HORNPIPE = (2, 11, 7, 4, 4, 7, 4, 4, 7, 11, 2, 1, 2, 9, 6, 2, 2, 6, 2, 2,
 
 def alpha(g):
     return NoteAlphabet.from_tune(expand(g))
+
+
+def _targets(kind, g: Grammar):
+    """Every target tuple the kind's random draw could produce, lazily,
+    for every kind but 7 and 18, whose spaces hold every alphabet note
+    or every body.
+
+    Shapes match the forced-``targets`` contract of
+    :func:`apply_mutation`; of the symmetric pairs (kinds 5, 6, 11, 12
+    and 17) one order is listed.  Targets are filtered only for the
+    cheap local conditions the draw itself enforces (the rhs that would
+    be emptied, the partner that must exist); whether the edit would
+    close a reference cycle is ``_fits``'s question.
+    """
+    rules, ids = g.rhs, g.ids
+    k = int(kind)
+    _run = mutation_module._run
+    if 2 <= k <= 6 or 8 <= k <= 12:
+        occs = g.occurrences[RuleRef if k <= 6 else Terminal]
+    if k == 1:
+        yield from ((r, h, ix) for r in ids if r != ROOT_ID for h in ids
+                    for ix in range(len(rules[h]) + 1))
+    elif k in (2, 8):
+        yield from ((h, i) for h, i in occs if len(rules[h]) > 1)
+    elif k in (3, 9):
+        yield from ((h, i, j) for h, i in occs
+                    for j in range(len(rules[h])) if j != i)
+    elif k in (4, 10):
+        yield from ((h, i, other, ix) for h, i in occs if len(rules[h]) > 1
+                    for other in ids if other != h
+                    for ix in range(len(rules[other]) + 1))
+    elif k in (5, 11):  # a host's later occurrences follow it directly
+        yield from ((h, i, j) for n, (h, i) in enumerate(occs)
+                    for _, j in occs[n + 1:_run(occs, h)[1]])
+    elif k in (6, 12):
+        yield from ((h1, i1, h2, i2) for n, (h1, i1) in enumerate(occs)
+                    for h2, i2 in occs[n + 1:] if h2 != h1)
+    elif k == 13:
+        terms = g.occurrences[Terminal]
+        yield from ((h, i, j) for h, i in g.occurrences[RuleRef]
+                    for _, j in terms[slice(*_run(terms, h))])
+    elif k == 14:
+        terms = g.occurrences[Terminal]
+        yield from ((h1, i, h2, j) for h1, i in g.occurrences[RuleRef]
+                    for h2, j in terms if h1 != h2)
+    elif k == 15:
+        yield from ((h,) for h in ids)
+    elif k == 16:
+        yield from ((h, s, ln) for h in ids if len(rules[h]) >= 3
+                    for ln in range(2, len(rules[h]))
+                    for s in range(len(rules[h]) - ln + 1))
+    elif k == 17:
+        yield from ((a, b) for n, a in enumerate(ids) for b in ids[n + 1:])
+    elif k == 19:
+        yield from ((r,) for r in ids if r != ROOT_ID)
 
 
 @pytest.fixture
@@ -291,6 +348,18 @@ def test_forced_targets_of_wrong_shape_or_type(crafted, kind, targets):
                        targets=targets)
 
 
+def test_forced_new_rule_body_never_references_the_root():
+    # As with kind 1, no added reference may point at the root, though
+    # here p1 is a rule the root does not reach, so no cycle would close.
+    # (The crafted grammar's root reaches every rule, so there the cycle
+    # check refuses such a body anyway.)
+    g = parse_grammar("p0 -> 1 2; p1 -> 3 4")
+    a = NoteAlphabet((1, 2, 3, 4))
+    for kind, t in ((18, (1, 0, (RuleRef(0),))), (1, (0, 1, 0))):
+        with pytest.raises(MutationTargetError):
+            apply_mutation(g, kind, a, RandomSource(0), targets=t)
+
+
 def test_definition_swap_with_root_always_cycles():
     g = induce(HORNPIPE)
     a = NoteAlphabet.from_tune(HORNPIPE)
@@ -340,8 +409,18 @@ def _deep_chain(depth):
 
 def test_applicable_on_deep_rule_chain():
     # The reachability walk used to recurse once per level and raise
-    # RecursionError here for kinds 1, 4 and 14.
-    g = _deep_chain(1500)
+    # RecursionError here for kinds 1, 4 and 14.  Held as one set per
+    # rule, the reach of this chain peaked at 205 MiB; as one int mask
+    # per rule it takes about a bit per pair of rules.
+    g = _deep_chain(3000)
+    g.walk
+    tracemalloc.start()
+    try:
+        g.reach
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
     for kind in (1, 4, 14):
         assert isinstance(applicable(g, kind), bool)
     # Every pair of rules is linked by reachability, so no definition
@@ -454,6 +533,13 @@ def test_rule_removal_matches_a_fixpoint_oracle():
                     (x, tuple(rhs)) for x, rhs in want[0].items()], r
                 assert tuple(patch) == want[1], (r, render_grammar(g))
         assert applicable(g, kind) == any(fits)
+        # every other kind's closed form against a scan of its targets
+        for other in MutationKind:
+            if other not in (kind, MutationKind.ADD_NOTE,
+                             MutationKind.ADD_RULE):
+                assert applicable(g, other) == any(
+                    mutation_module._fits(other, g, t)
+                    for t in _targets(other, g)), (other, render_grammar(g))
 
 
 def test_fits_matches_operator_and_validation():
@@ -480,7 +566,7 @@ def test_fits_matches_operator_and_validation():
                     space = [mutation_module._draw(kind, g, a, draws)
                              for _ in range(n)]
                 else:
-                    space = mutation_module._targets(kind, g)
+                    space = _targets(kind, g)
                 for t in space:
                     patch = mutation_module._edit(kind, g, t)
                     valid = validate_grammar(
@@ -536,12 +622,13 @@ def test_cached_views_neither_go_stale_nor_leak(mini_corpus):
                                        RandomSource(n)).grammar)
     for g in grammars:
         a = alpha(g)
-        views = g.walk, g.reach, g.occurrences
+        views = g.walk, g.bit, g.reach, g.needs, g.occurrences
         answers = [applicable(g, kind) for kind in MutationKind]
         fresh = Grammar(g.rhs)
         assert fresh._applicable == {}
         for other in (fresh, pickle.loads(pickle.dumps(g))):
-            assert (other.walk, other.reach, other.occurrences) == views
+            assert (other.walk, other.bit, other.reach, other.needs,
+                    other.occurrences) == views
             assert [applicable(other, kind) for kind in MutationKind] \
                 == answers
             for kind in MutationKind:
@@ -557,7 +644,7 @@ def test_forced_symmetric_swaps_are_order_free():
             "p0 -> p1 p2 7; p1 -> 1 2; p2 -> p3 5; p3 -> 8 9")):
         a = alpha(g)
         for kind in (5, 6, 11, 12, 17):
-            for t in mutation_module._targets(MutationKind(kind), g):
+            for t in _targets(MutationKind(kind), g):
                 rev = (t[0], t[2], t[1]) if kind in (5, 11) else \
                     t[2:] + t[:2] if kind in (6, 12) else t[::-1]
                 outs = []
@@ -815,7 +902,7 @@ def test_draws_reach_every_listed_target():
         for kind in MutationKind:
             if kind in (MutationKind.ADD_NOTE, MutationKind.ADD_RULE):
                 continue
-            want, seen = set(mutation_module._targets(kind, g)), set()
+            want, seen = set(_targets(kind, g)), set()
             for _ in range(40 * len(want)):
                 t = mutation_module._draw(kind, g, a, rng)
                 if t is None:
@@ -841,7 +928,7 @@ def test_forced_targets_are_exactly_the_listed_ones():
         for kind in MutationKind:
             if kind in (MutationKind.ADD_NOTE, MutationKind.ADD_RULE):
                 continue
-            listed = set(mutation_module._targets(kind, g))
+            listed = set(_targets(kind, g))
             if kind in (5, 11):
                 listed |= {(h, j, i) for h, i, j in listed}
             elif kind in (6, 12, 17):

@@ -207,7 +207,7 @@ def test_per_kind_is_deterministic_per_kind(mini_corpus):
 
 def test_per_kind_walks_reach_once(monkeypatch):
     # Every kind's applicability check and fit rule read the one induced
-    # grammar's reach sets, so they are walked once for all 19 kinds.
+    # grammar's reach masks, so they are folded once for all 19 kinds.
     walks = []
     fold = Grammar.reach.func
 
@@ -223,7 +223,7 @@ def test_per_kind_walks_reach_once(monkeypatch):
 
 
 def test_per_kind_analyses_each_grammar_once(monkeypatch):
-    # The induced grammar is walked once, for its reach sets and the
+    # The induced grammar is walked once, for its masks and the
     # input check of every kind's mutation; no mutated grammar is
     # walked, since expand makes its own pass.  Each kind's
     # applicability is decided once, though run_per_kind and
