@@ -8,7 +8,6 @@ sorted by name; the file stem becomes the tune id.
 
 from __future__ import annotations
 
-import logging
 import re
 from dataclasses import dataclass
 from importlib import resources
@@ -17,8 +16,6 @@ from pathlib import Path
 from typing import Sequence
 
 from .model import Tune, TunegramError
-
-log = logging.getLogger(__name__)
 
 _TOKEN = re.compile(r"[^\s,]+")
 
@@ -97,7 +94,10 @@ def load_corpus(path) -> list[CorpusTune]:
         seen[stem] = file
         tunes.append(CorpusTune(stem, notes, str(file)))
     if skipped:
-        log.warning("skipped %d empty tune file(s) under %s", skipped, root)
+        # Imported here, so that importing the package does not load it.
+        import logging
+        logging.getLogger(__name__).warning(
+            "skipped %d empty tune file(s) under %s", skipped, root)
     return tunes
 
 

@@ -39,16 +39,16 @@ def _varint(n: int) -> bytes:
     return bytes(reversed(out))
 
 
-def render_midi(t: Sequence[int], base_note: int = 60) -> bytes:
+def render_midi(t: Sequence[int]) -> bytes:
     """Build the SMF bytes for a tune.
 
     When every note is below 12 the tune is treated as pitch classes
-    and shifted up by ``base_note``; otherwise values are used as MIDI
-    pitches directly.
+    and shifted up to the octave of middle C (MIDI 60); otherwise values
+    are used as MIDI pitches directly.
     """
     if not t:
         raise TunegramError("cannot export an empty tune")
-    offset = base_note if max(t) < 12 else 0
+    offset = 60 if max(t) < 12 else 0
     pitches = []
     for i, v in enumerate(t):
         p = v + offset
@@ -71,6 +71,6 @@ def render_midi(t: Sequence[int], base_note: int = 60) -> bytes:
     return bytes(header + b"MTrk" + len(track).to_bytes(4, "big") + track)
 
 
-def export_midi(t: Sequence[int], path: str | Path, base_note: int = 60) -> None:
+def export_midi(t: Sequence[int], path: str | Path) -> None:
     """Write a tune to ``path`` as a Standard MIDI File."""
-    Path(path).write_bytes(render_midi(t, base_note))
+    Path(path).write_bytes(render_midi(t))

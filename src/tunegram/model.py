@@ -12,12 +12,12 @@ computed once, on first read, and shared by every caller: its ids as a
 list (``ids``), its walk of the reference graph (``walk``, one
 :func:`postorder` over every rule, which also records empty rhs and
 missing references), its symbol occurrences (``occurrences``), its
-mutation applicability answers, and its reference-graph facts as int
-bitmasks, one bit per rule (``bit``): the rules each rule reaches
-(``reach``, an OR-fold over the walk) and the rules whose removal takes
-each rule out (``needs``, an AND-fold).  Validation and both folds read
-the one walk; expansion does not, since it makes its own pass in rhs
-order.
+mutation applicability answers, its validation report, and its
+reference-graph facts as int bitmasks, one bit per rule (``bit``, built
+where it is tested): the rules each rule reaches (``reach``, an OR-fold
+over the walk) and the rules besides itself whose removal takes each
+rule out (``needs``, an AND-fold).  Validation and both folds read the
+one walk; expansion does not, since it makes its own pass in rhs order.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from __future__ import annotations
 import enum
 import functools
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -129,25 +130,21 @@ class Grammar:
     @functools.cached_property
     def walk(self) -> tuple[list[int], list[int] | None,
                             list[tuple[int, int | None]]]:
-        """``postorder(rhs, rhs)``: every rule after the rules it
-        references, the first cycle met, and the faults met on the way;
-        read-only, computed on first read.  Read by
-        :func:`validate_grammar` and the folds :attr:`reach` and
-        :attr:`needs`, not by expansion.  The root, when present, is the
-        first start, so the order up to and including it is
-        ``postorder(rhs, (ROOT_ID,))``'s."""
-        return postorder(self.rhs, self.rhs)
+        """``postorder(rhs)``: every rule after the rules it references,
+        the first cycle met, and the faults met on the way; read-only,
+        computed on first read.  Read by :func:`validate_grammar` and the
+        folds :attr:`reach` and :attr:`needs`, not by expansion."""
+        return postorder(self.rhs)
 
-    @functools.cached_property
-    def bit(self) -> dict[int, int]:
-        """Rule id -> ``1 << i``, ``i`` its place in :attr:`ids`: its bit
-        in the masks below, dense whatever the ids; read-only, computed
-        on first read."""
-        return {x: 1 << i for i, x in enumerate(self.ids)}
+    def bit(self, rule_id: int) -> int:
+        """``1 << i``, ``i`` the place of ``rule_id`` (a rule of this
+        grammar) in :attr:`ids`: its bit in the masks below, dense
+        whatever the ids; built where it is tested, never stored."""
+        return 1 << bisect_left(self.ids, rule_id)
 
     @functools.cached_property
     def reach(self) -> dict[int, int]:
-        """Rule id -> the mask (:attr:`bit`) of every rule it reaches
+        """Rule id -> the mask (:meth:`bit`) of every rule it reaches
         through one or more references; read-only, computed on first
         read.  An OR-fold over :attr:`walk`, so a chain of any depth is
         fine.  Exact on acyclic grammars; on cyclic ones the walk skips
@@ -156,28 +153,43 @@ class Grammar:
         for x in self.walk[0]:
             m = 0
             for s in rules[x]:
-                if isinstance(s, RuleRef) and s.rule_id in bit:
-                    m |= bit[s.rule_id] | reach.get(s.rule_id, 0)
+                if isinstance(s, RuleRef) and s.rule_id in rules:
+                    m |= bit(s.rule_id) | reach.get(s.rule_id, 0)
             reach[x] = m
         return reach
 
     @functools.cached_property
     def needs(self) -> dict[int, int]:
-        """Rule id -> the mask (:attr:`bit`) of the rules whose removal
-        takes it out: itself and, if its rhs is non-empty and holds only
+        """Rule id -> the mask (:meth:`bit`) of the other rules whose
+        removal takes it out: if its rhs is non-empty and holds only
         references, the rules whose removal takes out every rule it
-        references; read-only, computed on first read.  An AND-fold over
-        :attr:`walk`, exact on acyclic grammars."""
+        references, those among them; read-only, computed on first read.
+        An AND-fold over :attr:`walk`, exact on acyclic grammars."""
         rules, bit, needs = self.rhs, self.bit, {}
         for x in self.walk[0]:
             m = -1 if rules[x] else 0  # -1: every bit, the AND of no masks
             for s in rules[x]:
-                if not isinstance(s, RuleRef):
-                    m = 0
+                if not (isinstance(s, RuleRef) and s.rule_id in needs):
+                    m = 0  # a note, a missing rule or a reference back
                     break
-                m &= needs.get(s.rule_id, 0)
-            needs[x] = bit[x] | m
+                m &= needs[s.rule_id] | bit(s.rule_id)
+            needs[x] = m
         return needs
+
+    @functools.cached_property
+    def _report(self) -> ValidationReport:
+        """:func:`validate_grammar`'s report, computed on first read."""
+        structural = [] if ROOT_ID in self.rhs else ["missing root rule p0"]
+        _, cycle, faults = self.walk
+        # Stable: one rule's missing references keep their rhs order.
+        for x, missing in sorted(faults, key=lambda f: (f[1] is not None, f[0])):
+            structural.append(f"rule p{x} has an empty rhs" if missing is None
+                              else f"rule p{x} references missing rule p{missing}")
+        if cycle is not None:
+            structural.append("reference cycle: " + " -> ".join(f"p{i}" for i in cycle))
+        # A second grammar of the same rules: holding this one would make
+        # a reference cycle, which only the cycle collector frees.
+        return ValidationReport(tuple(structural), Grammar._from_rhs(self.rhs))
 
     @functools.cached_property
     def occurrences(self) -> dict[type, list[tuple[int, int]]]:
@@ -256,25 +268,25 @@ def parse_grammar(text: str) -> Grammar:
 # the reference graph and validation
 
 
-def postorder(rules: Mapping[int, Sequence[Symbol]], starts: Iterable[int],
+def postorder(rules: Mapping[int, Sequence[Symbol]],
               ) -> tuple[list[int], list[int] | None,
                          list[tuple[int, int | None]]]:
-    """Every rule reachable from ``starts``, each once, after the rules it
-    references (depth first, in rhs order), the first cycle met as a
-    closed path ``[x, ..., x]`` or None, and the faults met.  References
-    to missing rules and back edges (those that close a cycle) are
-    skipped, so the walk ends on any input; it is iterative, so chains
-    of any depth are fine.
+    """Every rule, each once, after the rules it references (depth
+    first from each rule in turn, in rhs order), the first cycle met as
+    a closed path ``[x, ..., x]`` or None, and the faults met.
+    References to missing rules and back edges (those that close a
+    cycle) are skipped, so the walk ends on any input; it is iterative,
+    so chains of any depth are fine.
 
-    The faults are ``(x, c)`` for each reference from a listed rule
-    ``x`` to a missing rule ``c``, in rhs order, and ``(x, None)`` for
-    each listed rule ``x`` with an empty rhs."""
+    The faults are ``(x, c)`` for each reference from a rule ``x`` to a
+    missing rule ``c``, in rhs order, and ``(x, None)`` for each rule
+    ``x`` with an empty rhs."""
     order: list[int] = []
     cycle: list[int] | None = None
     faults: list[tuple[int, int | None]] = []
     on_path: dict[int, bool] = {}  # rule -> still on the path; done if False
-    for start in starts:
-        if start in on_path or start not in rules:
+    for start in rules:
+        if start in on_path:
             continue
         path, rhs_iters = [start], [iter(rules[start])]
         on_path[start] = True
@@ -364,7 +376,8 @@ def digram_census(g: Grammar) -> dict[tuple[Symbol, Symbol], list[tuple[int, int
 
 
 def validate_grammar(g: Grammar) -> ValidationReport:
-    """Check structural validity and canonicality, reported separately.
+    """Check structural validity and canonicality, reported separately;
+    ``g`` computes its report on first read and keeps it.
 
     Structural: rule 0 exists, every rhs is non-empty, every reference
     resolves, and the reference relation is acyclic.
@@ -378,16 +391,7 @@ def validate_grammar(g: Grammar) -> ValidationReport:
     put in id order (empty rhs first, then missing references), and its
     cycle.
     """
-    structural = [] if ROOT_ID in g else ["missing root rule p0"]
-    _, cycle, faults = g.walk
-    # Stable: one rule's missing references keep their rhs order.
-    for rule_id, missing in sorted(faults, key=lambda f: (f[1] is not None, f[0])):
-        structural.append(
-            f"rule p{rule_id} has an empty rhs" if missing is None
-            else f"rule p{rule_id} references missing rule p{missing}")
-    if cycle is not None:
-        structural.append("reference cycle: " + " -> ".join(f"p{i}" for i in cycle))
-    return ValidationReport(tuple(structural), g)
+    return g._report
 
 
 # ---------------------------------------------------------------------------

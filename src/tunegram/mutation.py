@@ -5,50 +5,46 @@ fall into families: 1-6 act on rule references, 7-12 on notes, 13-16
 mix or reorder the two, 17-19 act on whole rules.
 
 A mutation is decided on its target, a tuple naming the rules,
-positions and symbols the edit uses (shapes in :func:`apply_mutation`),
-before any rule is rewritten.  The input is checked once, before any
-target: a grammar that is not structurally valid (``validate_grammar``)
-raises ``MutationTargetError`` before any draw, even where some target
-would repair it.  Targets come from two sources, and both take one
-path: target, fit rule, edit.
+positions and symbols the edit uses (shapes in :func:`_edit`), before
+any rule is rewritten.  The input is checked once, before any target:
+a grammar that is not structurally valid (``validate_grammar``) raises
+``MutationTargetError`` before any draw, even where some target would
+repair it.  Every target is drawn, and takes one path: draw, fit rule,
+edit.
 
-- Drawn: ``_draw`` makes every random choice (rule, occurrence, index,
-  span, symbol) uniformly from a :class:`RandomSource`.  Occurrences
-  are drawn occurrence-uniform: each RuleRef or terminal occurrence in
-  the whole grammar is equally likely, rather than first picking a
-  rule.  A draw that would empty an rhs or finds no partner gives no
-  target.  Draws go on until a target fits (rejection sampling), so
-  the target is a draw conditioned on fitting, however many draws it
-  takes: the fitting targets can be a sliver of the draw space, e.g.
-  cycle-free rule pairs in a densely referencing grammar.  The input
-  is structurally valid, so an applicable kind has a fitting target,
-  which each draw hits with a chance above zero, and the draws end.
-- Forced: the caller names the target and ``_is_target`` checks its
-  ranges and symbol types.
+``_draw`` makes every random choice (rule, occurrence, index, span,
+symbol) uniformly from a :class:`RandomSource`.  Occurrences are drawn
+occurrence-uniform: each RuleRef or terminal occurrence in the whole
+grammar is equally likely, rather than first picking a rule.  A draw
+that would empty an rhs or finds no partner gives no target.  Draws go
+on until a target fits (rejection sampling), so the target is a draw
+conditioned on fitting, however many draws it takes: the fitting
+targets can be a sliver of the draw space, e.g. cycle-free rule pairs
+in a densely referencing grammar.  The input is structurally valid, so
+an applicable kind has a fitting target, which each draw hits with a
+chance above zero, and the draws end.
 
 The fit rule ``_fits`` is exact on a structurally valid grammar: an
 edit there can only fail by closing a reference cycle or by taking out
-the root (kind 19 takes out the rules it leaves empty), since every
-source rules out an emptied rhs.  Each fit is one test of a bit in the
-input's masks (:attr:`~tunegram.model.Grammar.bit`): kind 19 fits iff
-the root does not need the removed rule
+the root (kind 19 takes out the rules it leaves empty), since no draw
+empties an rhs.  Each fit is one test of a rule's bit
+(:meth:`~tunegram.model.Grammar.bit`) in the input's masks: kind 19
+fits iff the root does not need the removed rule
 (:attr:`~tunegram.model.Grammar.needs`), every other kind iff no
 reference ``x -> c`` it adds has ``c`` equal to ``x`` or reaching ``x``
 (:attr:`~tunegram.model.Grammar.reach`).  A kind is applicable iff some
 target fits, which ``_decide`` reads off the occurrences, the rhs
 lengths and those masks, never listing targets.  Only the accepted
-target is applied: ``_edit`` returns a patch, the new rhs tuple of each
-rule it creates or rewrites and None for each rule it removes.  The new
-grammar lays the patch over the input's rhs map, so every other rule
-keeps the input's own tuple, and the patch's ids are the outcome's
-``touched``.  Since ``_fits`` is exact on the checked input, the result
-is structurally valid without a check of its own, and nothing here
-walks it.
+target is applied (``_outcome``): ``_edit`` returns a patch, the new
+rhs tuple of each rule it creates or rewrites and None for each rule it
+removes.  The new grammar lays the patch over the input's rhs map, so
+every other rule keeps the input's own tuple, and the patch's ids are
+the outcome's ``touched``.  Since ``_fits`` is exact on the checked
+input, the result is structurally valid without a check of its own,
+and nothing here walks it.
 
-Everything read off the input grammar (``rhs``, ``ids``, ``walk``,
-``bit``, ``reach``, ``needs``, ``occurrences`` and each kind's
-applicability) is a fact the grammar owns, computed once and shared;
-``_run`` bisects a host's own occurrences out of ``occurrences``.
+Everything read off the input grammar (its views, validation report
+and applicability) is a fact the grammar owns, computed once and shared.
 """
 
 from __future__ import annotations
@@ -93,8 +89,8 @@ class InapplicableMutationError(TunegramError):
 
 
 class MutationTargetError(TunegramError):
-    """Forced targets were unusable, or the input grammar was not
-    structurally valid."""
+    """The input grammar was not structurally valid, so no target was
+    drawn."""
 
 
 class NoApplicableMutationError(TunegramError):
@@ -190,11 +186,11 @@ def _new_body(ids: list[int], alphabet: NoteAlphabet,
 
 
 # ---------------------------------------------------------------------------
-# targets: draw, check, fit and edit (see the module docstring)
+# targets: draw, fit and edit (see the module docstring)
 
 
 def _draw(kind, g: Grammar, alphabet, rng):
-    """One random target of ``kind``, shaped as in :func:`apply_mutation`,
+    """One random target of ``kind``, shaped as in :func:`_edit`,
     or None when the drawn symbol's removal would empty its rhs, it has
     no partner, or the drawn rule is too short to hold a span.  It reads
     ``g.ids`` and ``g.occurrences`` and copies no whole-grammar list; a
@@ -263,80 +259,6 @@ def _draw(kind, g: Grammar, alphabet, rng):
     return (host, index, *occs[p if p < start else p + stop - start])
 
 
-def _is_target(kind, rules, alphabet, t) -> bool:
-    """True iff the forced target ``t`` names symbols and positions that
-    exist, of the kind's symbol types, in distinct rules where the kind
-    needs two, leaves no rhs empty, and (kinds 7 and 18) inserts only
-    notes of the alphabet; like kind 1, kind 18 adds no reference to the
-    root.  Whether its edit would close a cycle is :func:`_fits`'s
-    question.  Constant time for every kind but 18, whose body is read.
-    A target of the wrong shape may raise TypeError or ValueError."""
-    k = int(kind)
-    typ = RuleRef if k <= 6 else Terminal
-
-    def num(x):  # an int, not a bool
-        return isinstance(x, int) and not isinstance(x, bool)
-
-    if not all(map(num, t[:-1] if k == 18 else t)):
-        return False
-
-    def at(h, i, want):  # (h, i) holds a symbol of type want
-        return h in rules and 0 <= i < len(rules[h]) \
-            and isinstance(rules[h][i], want)
-
-    def gap(h, i):  # (h, i) is an insertion point
-        return h in rules and 0 <= i <= len(rules[h])
-
-    if k == 1:
-        ref, host, index = t
-        return ref in rules and ref != ROOT_ID and gap(host, index)
-    if k in (2, 8):
-        host, index = t
-        return at(host, index, typ) and len(rules[host]) > 1
-    if k in (3, 9):
-        host, index, new_index = t
-        return at(host, index, typ) and new_index != index \
-            and 0 <= new_index < len(rules[host])
-    if k in (4, 10):
-        host, index, other, new_index = t
-        return at(host, index, typ) and len(rules[host]) > 1 \
-            and other != host and gap(other, new_index)
-    if k in (5, 11):
-        host, i, j = t
-        return i != j and at(host, i, typ) and at(host, j, typ)
-    if k in (6, 12):
-        h1, i1, h2, i2 = t
-        return h1 != h2 and at(h1, i1, typ) and at(h2, i2, typ)
-    if k == 13:
-        host, i, j = t
-        return at(host, i, RuleRef) and at(host, j, Terminal)
-    if k == 14:
-        h1, i, h2, j = t
-        return h1 != h2 and at(h1, i, RuleRef) and at(h2, j, Terminal)
-    if k == 7:
-        host, index, value = t
-        return gap(host, index) and value in alphabet
-    if k == 15:
-        (host,) = t
-        return host in rules
-    if k == 16:
-        host, start, length = t
-        return host in rules and 2 <= length < len(rules[host]) \
-            and 0 <= start <= len(rules[host]) - length
-    if k == 17:
-        a, b = t
-        return a in rules and b in rules and a != b
-    if k == 18:
-        host, index, body = t
-        return gap(host, index) and len(body) > 0 and all(
-            num(s.value) and s.value in alphabet
-            if isinstance(s, Terminal) else
-            isinstance(s, RuleRef) and num(s.rule_id) and s.rule_id in rules
-            and s.rule_id != ROOT_ID for s in body)
-    (target,) = t  # kind 19
-    return target in rules and target != ROOT_ID
-
-
 def _fits(kind, g: Grammar, t) -> bool:
     """True iff applying target ``t`` of ``kind`` to the acyclic
     grammar ``g`` gives a structurally valid grammar; one bit test.
@@ -353,11 +275,11 @@ def _fits(kind, g: Grammar, t) -> bool:
     ``b`` the rule reduces to: neither rule reaches the other.
     """
     k, rules = int(kind), g.rhs
-    if k == 19:
-        return not g.needs.get(ROOT_ID, 0) & g.bit[t[0]]
+    if k == 19:  # needs[ROOT_ID] leaves out the root's own bit
+        return t[0] != ROOT_ID and not g.needs[ROOT_ID] & g.bit(t[0])
     if k == 17:
         a, b = t
-        return not (g.reach[a] & g.bit[b] or g.reach[b] & g.bit[a])
+        return not (g.reach[a] & g.bit(b) or g.reach[b] & g.bit(a))
     if k == 1:
         ref, host, _ = t
         added = [(host, ref)]
@@ -373,14 +295,32 @@ def _fits(kind, g: Grammar, t) -> bool:
         added = [(host, s.rule_id) for s in body if isinstance(s, RuleRef)]
     else:
         return True
-    return not any(x == c or g.reach[c] & g.bit[x] for x, c in added)
+    return not any(x == c or g.reach[c] & g.bit(x) for x, c in added)
 
 
 def _edit(kind, g: Grammar, t) -> dict[int, tuple[Symbol, ...] | None]:
     """The patch that applies target ``t`` of ``kind`` to ``g``: the new
     rhs of each rule it creates or rewrites, and None for each rule it
     removes.  The rules ``g`` keeps are left alone, to be shared.  ``t``
-    must pass :func:`_is_target` (a drawn one does) and :func:`_fits`."""
+    must be a target :func:`_draw` can give and pass :func:`_fits`.  Its
+    shape is kind-specific, in the order the draw makes its choices:
+
+    ==== =========================================
+    1    (ref_rule, host, index)
+    2, 8 (host, index)
+    3, 9 (host, index, new_index)
+    4,10 (host, index, other_host, new_index)
+    5,11 (host, i, j)
+    6,12 (host_a, i, host_b, j)
+    13   (host, ref_index, term_index)
+    14   (host_a, ref_index, host_b, term_index)
+    15   (host,)
+    16   (host, start, length)
+    17   (rule_a, rule_b)
+    18   (host, index, rhs_symbols)
+    19   (rule,)
+    ==== =========================================
+    """
     k, rules = int(kind), g.rhs
     if k == 1:
         ref, host, index = t
@@ -430,8 +370,8 @@ def _edit(kind, g: Grammar, t) -> dict[int, tuple[Symbol, ...] | None]:
         rhs = rules[host]
         return {new_id: tuple(body),
                 host: rhs[:index] + (RuleRef(new_id),) + rhs[index:]}
-    removed = g.bit[t[0]]  # kind 19: out go the rules that need it
-    taken = {x for x, m in g.needs.items() if m & removed}
+    removed = g.bit(t[0])  # kind 19: out go it and the rules that need it
+    taken = {x for x, m in g.needs.items() if x == t[0] or m & removed}
     patch = {}
     for x, rhs in rules.items():
         if x in taken:
@@ -462,18 +402,18 @@ def _decide(g: Grammar, kind: MutationKind) -> bool:
     its occurrences, rhs lengths and masks.  A kind that adds no
     reference fits wherever it has a target: a symbol to take out of a
     longer rhs, a partner, a span.  One that adds ``x -> c`` needs an
-    ``x`` outside ``bit[c] | reach[c]``; kind 19 a rule the root does
+    ``x`` outside ``bit(c) | reach[c]``; kind 19 a rule the root does
     not need."""
     k, rules, n = int(kind), g.rhs, len(g.rhs)
     if k in (7, 15, 18):
         return n > 0  # notes, or a rule of notes, fit in any rule
     if k == 16:
         return any(len(rhs) > 2 for rhs in rules.values())
-    if k == 19:
-        return n > g.needs.get(ROOT_ID, 0).bit_count()
+    if k == 19:  # a rule besides the root and the rules it needs
+        return n - (ROOT_ID in rules) > g.needs.get(ROOT_ID, 0).bit_count()
     if k == 1:
         bit, reach = g.bit, g.reach
-        return any((bit[r] | reach[r]).bit_count() < n
+        return any((bit(r) | reach[r]).bit_count() < n
                    for r in g.ids if r != ROOT_ID)
     if k == 17:
         # Acyclic: each unordered pair of rules is reachable one way at
@@ -492,13 +432,13 @@ def _decide(g: Grammar, kind: MutationKind) -> bool:
         return not {h for h, _ in refs}.isdisjoint(h for h, _ in notes)
     if k in (4, 14):
         # A reference c moves from h1 to some rule h2 (kind 4: any rule;
-        # kind 14: one that holds a note) outside bit[h1] | bit[c] | reach[c].
+        # kind 14: one that holds a note) outside bit(h1) | bit(c) | reach[c].
         bit, reach = g.bit, g.reach
         hosts = (1 << n) - 1 if k == 4 else \
-            sum(bit[h] for h in {h for h, _ in notes})
+            sum(bit(h) for h in {h for h, _ in notes})
         moves = {(h, rules[h][i].rule_id) for h, i in refs
                  if k == 14 or len(rules[h]) > 1}
-        return any(hosts & ~(bit[h] | bit.get(c, 0) | reach.get(c, 0))
+        return any(hosts & ~(bit(h) | (bit(c) | reach[c] if c in reach else 0))
                    for h, c in moves)
     # Kind 6.  Swapping two references to one rule adds none.
     host_of: dict[int, int] = {}
@@ -530,45 +470,15 @@ def apply_mutation(
     kind: MutationKind,
     alphabet: NoteAlphabet,
     rng: RandomSource,
-    *,
-    targets: tuple | None = None,
 ) -> MutationOutcome:
-    """Apply one mutation of the given kind, drawing targets from rng.
+    """Apply one mutation of the given kind, drawing its target from rng.
 
-    ``targets`` forces the draw's choices instead (used by golden
-    tests); its shape is kind-specific, matching the order the draw
-    makes them:
-
-    ==== =========================================
-    1    (ref_rule, host, index)
-    2, 8 (host, index)
-    3, 9 (host, index, new_index)
-    4,10 (host, index, other_host, new_index)
-    5,11 (host, i, j)
-    6,12 (host_a, i, host_b, j)
-    13   (host, ref_index, term_index)
-    14   (host_a, ref_index, host_b, term_index)
-    15   (host,)
-    16   (host, start, length)
-    17   (rule_a, rule_b)
-    18   (host, index, rhs_symbols)
-    19   (rule,)
-    ==== =========================================
-
-    Raises InapplicableMutationError when the precondition fails.  Then
-    the input is checked once, with :func:`validate_grammar`, which
-    reads its cached walk; if it is not structurally valid,
-    MutationTargetError is raised before any draw, and no target is
-    tried in the hope that it repairs the input.  MutationTargetError
-    is also raised when forced targets are unusable (attempts is then
-    1).  Targets are drawn until one fits, and ``attempts`` counts the
-    draws; applicability guarantees a fitting target that a draw can
-    hit, so drawing goes on past MAX_ATTEMPTS.
-
-    Only the accepted target is applied, as a patch of the rules it
-    rewrites; every other rule is shared with ``g``.  ``_fits`` is
-    exact on the checked input, so the result is structurally valid;
-    it is not walked.
+    Raises InapplicableMutationError when the precondition fails, then
+    MutationTargetError, before any draw, if :func:`validate_grammar`
+    finds the input not structurally valid.  Targets are drawn until
+    one fits, and ``attempts`` counts the draws; applicability
+    guarantees a fitting target that a draw can hit, so drawing goes on
+    past MAX_ATTEMPTS.
     """
     kind = MutationKind(kind)
     if not applicable(g, kind):
@@ -579,20 +489,17 @@ def apply_mutation(
         raise MutationTargetError(
             f"the input grammar is not structurally valid "
             f"({report.structural_violations[0]})")
-    if targets is not None:
-        try:
-            usable = _is_target(kind, g.rhs, alphabet, targets)
-        except (TypeError, ValueError):  # wrong shape or slot type
-            usable = False
-        if not (usable and _fits(kind, g, targets)):
-            raise MutationTargetError(f"forced targets {targets!r} are "
-                                      f"invalid for mutation {int(kind)}")
-        t, attempts = targets, 1
-    else:
-        t, attempts = None, 0
-        while t is None or not _fits(kind, g, t):
-            t = _draw(kind, g, alphabet, rng)
-            attempts += 1
+    t, attempts = None, 0
+    while t is None or not _fits(kind, g, t):
+        t = _draw(kind, g, alphabet, rng)
+        attempts += 1
+    return _outcome(kind, g, t, attempts)
+
+
+def _outcome(kind: MutationKind, g: Grammar, t,
+             attempts: int) -> MutationOutcome:
+    """The mutation that applies the fitting target ``t`` to ``g``; every
+    rule the patch leaves alone is shared with ``g``.  Not walked."""
     patch = _edit(kind, g, t)
     # The rules keep id order: a rewritten rule keeps its place, and
     # kind 18's new id is the highest, so it lands last.

@@ -258,9 +258,11 @@ def expand_rule(g: Grammar, rule_id: int) -> Tune:
     append = out.append
     # rule -> its span in out, or None while it is being expanded
     spans: dict[int, tuple[int, int] | None] = {rule_id: None}
-    path, starts, rhs_iters = [rule_id], [0], [iter(rules[rule_id])]
-    while path:
-        for sym in rhs_iters[-1]:
+    # a frame per rule being expanded: (rule, start in out, rest of rhs)
+    stack = [(rule_id, 0, iter(rules[rule_id]))]
+    while stack:
+        x, start, rest = stack[-1]
+        for sym in rest:
             if isinstance(sym, Terminal):
                 append(sym.value)
                 continue
@@ -272,19 +274,16 @@ def expand_rule(g: Grammar, rule_id: int) -> Tune:
                 raise GrammarStructureError(f"reference cycle through p{child}")
             elif child not in rules:
                 raise UnknownRuleError(
-                    f"rule p{path[-1]} references missing rule p{child}")
+                    f"rule p{x} references missing rule p{child}")
             else:
                 spans[child] = None
-                path.append(child)
-                starts.append(len(out))
-                rhs_iters.append(iter(rules[child]))
+                stack.append((child, len(out), iter(rules[child])))
                 break  # descend; this rhs resumes after the child
         else:
-            x, start = path.pop(), starts.pop()
+            stack.pop()
             if start == len(out):  # only an empty rhs unrolls to nothing
                 raise GrammarStructureError(f"rule p{x} has an empty rhs")
             spans[x] = (start, len(out))
-            rhs_iters.pop()
     return tuple(out)
 
 

@@ -24,7 +24,14 @@ from tunegram.model import (
     render_grammar,
     validate_grammar,
 )
-from tunegram.mutation import RandomSource, apply_mutation, derive_seed, random_mutation
+from tunegram.mutation import (
+    RandomSource,
+    _fits,
+    _outcome,
+    apply_mutation,
+    derive_seed,
+    random_mutation,
+)
 from tunegram.pipeline import RunConfig, run
 from tunegram.sequitur import expand, induce, pai, to_intervals
 
@@ -105,11 +112,12 @@ def test_c02_pitch_pai_6_interval_pai_10():
 def test_c03_definition_swap_golden_example():
     g = parse_grammar(HORNPIPE_GRAMMAR)
     assert expand(g) == HORNPIPE
-    alphabet = NoteAlphabet.from_tune(HORNPIPE)
+    # The paper's named swap of p2 and p5, through the step that applies
+    # a mutation's accepted target.
+    assert _fits(MutationKind.SWAP_DEFINITIONS, g, (2, 5))
 
     def swap_and_measure():
-        out = apply_mutation(g, MutationKind.SWAP_DEFINITIONS, alphabet,
-                             RandomSource(0), targets=(2, 5))
+        out = _outcome(MutationKind.SWAP_DEFINITIONS, g, (2, 5), 1)
         mutated = expand(out.grammar)
         return mutated, levenshtein(HORNPIPE, mutated)
 

@@ -111,6 +111,21 @@ def test_empty_files_skipped_with_one_warning(tmp_path, caplog):
     assert "2" in warnings[0].getMessage()
 
 
+def test_import_leaves_logging_out():
+    # The skipped-files warning imports logging when it fires, so that
+    # the package's import does not pay for it.  -S keeps site out,
+    # which may import logging itself.
+    code = ("import sys\n"
+            "assert 'logging' not in sys.modules\n"
+            "import tunegram\n"
+            "assert 'logging' not in sys.modules, 'logging was imported'\n")
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(tunegram.__file__).parent.parent)}
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_serialize_round_trip(tmp_path):
     t = (2, -4, 0, 19, 19)
     assert serialize_tune(t) == "2 -4 0 19 19\n"

@@ -45,12 +45,6 @@ def test_absolute_pitches_kept_when_high_notes_present():
     assert bytes((0x90, 71, 80)) not in data
 
 
-def test_base_note_override():
-    data = render_midi([0, 2], base_note=48)
-    assert bytes((0x90, 48, 80)) in data
-    assert bytes((0x90, 50, 80)) in data
-
-
 def test_track_length_scales_with_tune():
     short = render_midi([60])
     long = render_midi([60] * 10)

@@ -1,6 +1,5 @@
 """Mutation operators: targets, applicability, randomness, long draws."""
 
-import dataclasses
 import hashlib
 import itertools
 import pickle
@@ -48,14 +47,21 @@ def alpha(g):
     return NoteAlphabet.from_tune(expand(g))
 
 
+def forced(g, kind, t):
+    """The mutation of ``g`` on the named target ``t``, which must fit:
+    apply_mutation's own last step, without the draws."""
+    kind = MutationKind(kind)
+    assert mutation_module._fits(kind, g, t), (kind, t)
+    return mutation_module._outcome(kind, g, t, 1)
+
+
 def _targets(kind, g: Grammar):
     """Every target tuple the kind's random draw could produce, lazily,
     for every kind but 7 and 18, whose spaces hold every alphabet note
     or every body.
 
-    Shapes match the forced-``targets`` contract of
-    :func:`apply_mutation`; of the symmetric pairs (kinds 5, 6, 11, 12
-    and 17) one order is listed.  Targets are filtered only for the
+    Shapes are :func:`~tunegram.mutation._edit`'s; of the symmetric
+    pairs (kinds 5, 6, 11, 12 and 17) one order is listed.  Targets are filtered only for the
     cheap local conditions the draw itself enforces (the rhs that would
     be emptied, the partner that must exist); whether the edit would
     close a reference cycle is ``_fits``'s question.
@@ -169,7 +175,7 @@ def test_derive_seed_feeds_random_source():
 
 
 # ---------------------------------------------------------------------------
-# forced targets: one golden outcome per kind
+# named targets: one golden outcome per kind
 
 
 GOLDEN = [
@@ -215,19 +221,16 @@ GOLDEN = [
 @pytest.mark.parametrize("kind,targets,expected,touched", GOLDEN,
                          ids=[str(row[0]) for row in GOLDEN])
 def test_forced_targets_golden(crafted, kind, targets, expected, touched):
-    out = apply_mutation(crafted, kind, alpha(crafted), RandomSource(0),
-                         targets=targets)
+    out = forced(crafted, kind, targets)
     assert render_grammar(out.grammar) == expected
     assert out.touched == touched
-    assert out.attempts == 1
     assert out.kind is MutationKind(kind)
     assert validate_grammar(out.grammar).structural_ok
 
 
 def test_forced_swap_refs_across():
     g = parse_grammar("p0 -> p1 p2 7; p1 -> 1 2; p2 -> p3 5; p3 -> 8 9")
-    out = apply_mutation(g, 6, alpha(g), RandomSource(0),
-                         targets=(0, 0, 2, 0))
+    out = forced(g, 6, (0, 0, 2, 0))
     assert render_grammar(out.grammar) == \
         "p0 -> p3 p2 7\np1 -> 1 2\np2 -> p1 5\np3 -> 8 9\n"
     assert out.touched == (0, 2)
@@ -235,30 +238,28 @@ def test_forced_swap_refs_across():
 
 def test_reverse_rule_is_an_involution():
     g = parse_grammar("p0 -> p1 p1 3; p1 -> 1 2")
-    once = apply_mutation(g, 15, alpha(g), RandomSource(0),
-                          targets=(0,)).grammar
+    once = forced(g, 15, (0,)).grammar
     assert expand(once) == (3, 1, 2, 1, 2)
-    twice = apply_mutation(once, 15, alpha(g), RandomSource(0),
-                           targets=(0,)).grammar
+    twice = forced(once, 15, (0,)).grammar
     assert twice == g
 
 
 def test_remove_note_between_repeated_refs():
     g = parse_grammar("p0 -> p1 5 p1; p1 -> 1 2")
-    out = apply_mutation(g, 8, alpha(g), RandomSource(0), targets=(0, 1))
+    out = forced(g, 8, (0, 1))
     assert render_grammar(out.grammar) == "p0 -> p1 p1\np1 -> 1 2\n"
     assert expand(out.grammar) == (1, 2, 1, 2)
 
 
 def test_swap_definitions_moves_whole_phrases():
     g = parse_grammar("p0 -> 1 p1 2 p2 3; p1 -> 7 8; p2 -> 9 9")
-    out = apply_mutation(g, 17, alpha(g), RandomSource(0), targets=(1, 2))
+    out = forced(g, 17, (1, 2))
     assert expand(out.grammar) == (1, 9, 9, 2, 7, 8, 3)
 
 
 def test_remove_rule_cascades_through_emptied_hosts():
     g = parse_grammar("p0 -> p1 1; p1 -> p2 p2; p2 -> 3")
-    out = apply_mutation(g, 19, alpha(g), RandomSource(0), targets=(2,))
+    out = forced(g, 19, (2,))
     assert render_grammar(out.grammar) == "p0 -> 1\n"
     assert out.touched == (0, 1, 2)
 
@@ -281,91 +282,24 @@ def test_add_rule_drawn_body_shape(crafted):
     assert refs_to_new == 1
 
 
-# ---------------------------------------------------------------------------
-# forced targets that must be rejected
-
-
-def test_forced_targets_wrong_symbol_type(crafted):
-    # index 1 of the root is a note, not a reference
-    with pytest.raises(MutationTargetError):
-        apply_mutation(crafted, 2, alpha(crafted), RandomSource(0),
-                       targets=(0, 1))
+# named targets that do not fit: the edit would close a cycle or take
+# out the root
 
 
 def test_forced_targets_self_reference(crafted):
-    with pytest.raises(MutationTargetError):
-        apply_mutation(crafted, 1, alpha(crafted), RandomSource(0),
-                       targets=(1, 1, 0))
+    assert not mutation_module._fits(MutationKind.ADD_RULE_REF, crafted,
+                                     (1, 1, 0))
 
 
 def test_forced_targets_root_removal(crafted):
-    with pytest.raises(MutationTargetError):
-        apply_mutation(crafted, 19, alpha(crafted), RandomSource(0),
-                       targets=(0,))
-
-
-def test_forced_targets_out_of_range(crafted):
-    with pytest.raises(MutationTargetError):
-        apply_mutation(crafted, 7, alpha(crafted), RandomSource(0),
-                       targets=(0, 99, 1))
-    with pytest.raises(MutationTargetError):
-        apply_mutation(crafted, 7, alpha(crafted), RandomSource(0),
-                       targets=(0, 0, 999))  # value outside the alphabet
-
-
-def test_forced_new_rule_body_keeps_to_the_alphabet(crafted):
-    # As with kind 7, a new rule's notes come from the alphabet (1-6).
-    with pytest.raises(MutationTargetError):
-        apply_mutation(crafted, 18, alpha(crafted), RandomSource(0),
-                       targets=(0, 0, (Terminal(99),)))
-    with pytest.raises(MutationTargetError):
-        apply_mutation(crafted, 18, alpha(crafted), RandomSource(0),
-                       targets=(0, 0, (Terminal(6), RuleRef(1), Terminal(0))))
-    out = apply_mutation(crafted, 18, alpha(crafted), RandomSource(0),
-                         targets=(0, 0, (Terminal(6), RuleRef(1))))
-    assert out.grammar.rhs[3] == (Terminal(6), RuleRef(1))
-
-
-@pytest.mark.parametrize("kind,targets", [
-    (1, (1, 0)),                    # one slot short
-    (19, (1, 2)),                   # one slot too many
-    (18, (0, 0, None)),             # a body that is not a sequence
-    (3, (0, 0, "x")),               # a position that is not an int
-    (3, (0, 0, 1.0)),
-    (18, (0, 0, (1, 2))),           # a body of plain ints, not symbols
-    (7, (0, 0, True)),              # True == 1, a note of the alphabet
-    (8, (True, 0)),                 # True == 1, the rule p1
-    (1, (2, 0, False)),
-    (18, (0, 0, (Terminal(True),))),
-    (18, (0, 0, (Terminal(1.5),))),
-    (18, (0, 0, (RuleRef(True),))),
-], ids=["short", "long", "no-body", "str-index", "float-index", "int-body",
-        "bool-note", "bool-host", "bool-index", "bool-body-note",
-        "float-body-note", "bool-body-ref"])
-def test_forced_targets_of_wrong_shape_or_type(crafted, kind, targets):
-    with pytest.raises(MutationTargetError):
-        apply_mutation(crafted, kind, alpha(crafted), RandomSource(0),
-                       targets=targets)
-
-
-def test_forced_new_rule_body_never_references_the_root():
-    # As with kind 1, no added reference may point at the root, though
-    # here p1 is a rule the root does not reach, so no cycle would close.
-    # (The crafted grammar's root reaches every rule, so there the cycle
-    # check refuses such a body anyway.)
-    g = parse_grammar("p0 -> 1 2; p1 -> 3 4")
-    a = NoteAlphabet((1, 2, 3, 4))
-    for kind, t in ((18, (1, 0, (RuleRef(0),))), (1, (0, 1, 0))):
-        with pytest.raises(MutationTargetError):
-            apply_mutation(g, kind, a, RandomSource(0), targets=t)
+    assert not mutation_module._fits(MutationKind.REMOVE_RULE, crafted, (0,))
 
 
 def test_definition_swap_with_root_always_cycles():
     g = induce(HORNPIPE)
-    a = NoteAlphabet.from_tune(HORNPIPE)
     for other in sorted(g.rhs)[1:]:
-        with pytest.raises(MutationTargetError):
-            apply_mutation(g, 17, a, RandomSource(0), targets=(0, other))
+        assert not mutation_module._fits(MutationKind.SWAP_DEFINITIONS, g,
+                                         (0, other))
 
 
 # ---------------------------------------------------------------------------
@@ -434,6 +368,28 @@ def test_applicable_on_deep_rule_chain():
     t0 = time.perf_counter()
     assert applicable(g, 6) is False
     assert time.perf_counter() - t0 < 0.5
+
+
+def test_rule_bits_take_linear_memory():
+    # A root that references 10,000 two-note rules twice.  Storing
+    # 1 << i for every rule, and each rule's own bit in its needs mask,
+    # took R**2/16 bytes each: applicable peaked at 7.4 MiB for kinds 1
+    # and 17 and at 13.9 MiB for kind 19.  Built where they are tested,
+    # the bits leave about 0.4 MiB, mostly the reach and needs dicts.
+    n = 10_000
+    rhs = {0: [RuleRef(i) for i in range(1, n + 1)] * 2}
+    for i in range(1, n + 1):
+        rhs[i] = (Terminal(i % 12), Terminal(i * 7 % 12))
+    for kind in (1, 17, 19):
+        g = Grammar(rhs)
+        g.walk
+        tracemalloc.start()
+        try:
+            assert applicable(g, kind)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, (kind, peak)
 
 
 def test_pair_kinds_on_deep_rule_chain_are_fast():
@@ -622,12 +578,12 @@ def test_cached_views_neither_go_stale_nor_leak(mini_corpus):
                                        RandomSource(n)).grammar)
     for g in grammars:
         a = alpha(g)
-        views = g.walk, g.bit, g.reach, g.needs, g.occurrences
+        views = g.walk, g.reach, g.needs, g.occurrences
         answers = [applicable(g, kind) for kind in MutationKind]
         fresh = Grammar(g.rhs)
         assert fresh._applicable == {}
         for other in (fresh, pickle.loads(pickle.dumps(g))):
-            assert (other.walk, other.bit, other.reach, other.needs,
+            assert (other.walk, other.reach, other.needs,
                     other.occurrences) == views
             assert [applicable(other, kind) for kind in MutationKind] \
                 == answers
@@ -639,21 +595,16 @@ def test_cached_views_neither_go_stale_nor_leak(mini_corpus):
 
 def test_forced_symmetric_swaps_are_order_free():
     # Swapping a with b is swapping b with a: both orders of every target
-    # give the same grammar, or are both rejected.
+    # give the same grammar, or both do not fit.
     for g in (induce(HORNPIPE), parse_grammar(
             "p0 -> p1 p2 7; p1 -> 1 2; p2 -> p3 5; p3 -> 8 9")):
-        a = alpha(g)
-        for kind in (5, 6, 11, 12, 17):
-            for t in _targets(MutationKind(kind), g):
+        for kind in map(MutationKind, (5, 6, 11, 12, 17)):
+            for t in _targets(kind, g):
                 rev = (t[0], t[2], t[1]) if kind in (5, 11) else \
                     t[2:] + t[:2] if kind in (6, 12) else t[::-1]
-                outs = []
-                for tt in (t, rev):
-                    try:
-                        outs.append(apply_mutation(g, kind, a, RandomSource(0),
-                                                   targets=tt).grammar)
-                    except MutationTargetError:
-                        outs.append(None)
+                outs = [forced(g, kind, tt).grammar
+                        if mutation_module._fits(kind, g, tt) else None
+                        for tt in (t, rev)]
                 assert outs[0] == outs[1], (kind, t)
 
 
@@ -706,7 +657,7 @@ def test_apply_raises_when_inapplicable():
 
 
 def test_applicable_matches_brute_force_on_corpus(mini_corpus):
-    # claimed applicability must agree with "does any forced target
+    # claimed applicability must agree with "does some target
     # succeed" on real induced grammars
     for ct in mini_corpus[:3]:
         g = induce(ct.tune)
@@ -884,8 +835,7 @@ def test_draws_past_max_attempts_keep_the_draw_distribution(case):
         if t is not None and mutation_module._fits(kind, g, t):
             break
     assert n == out.attempts
-    assert apply_mutation(g, kind, a, RandomSource(0), targets=t) == \
-        dataclasses.replace(out, attempts=1)
+    assert mutation_module._outcome(MutationKind(kind), g, t, n) == out
 
 
 def test_draws_reach_every_listed_target():
@@ -916,37 +866,11 @@ def test_draws_reach_every_listed_target():
             assert seen == want, kind
 
 
-def test_forced_targets_are_exactly_the_listed_ones():
-    # _draw, _targets and _is_target each encode a kind's target space;
-    # the test above checks the first two against each other.  A forced
-    # target passes _is_target iff _targets lists it, in either order for
-    # the symmetric kinds: checked on every listed target and on every
-    # target one slot off by one from it.
-    rnd = random.Random(31)
-    for _ in range(200):
-        g = _random_dag(rnd, 5)
-        for kind in MutationKind:
-            if kind in (MutationKind.ADD_NOTE, MutationKind.ADD_RULE):
-                continue
-            listed = set(_targets(kind, g))
-            if kind in (5, 11):
-                listed |= {(h, j, i) for h, i, j in listed}
-            elif kind in (6, 12, 17):
-                n = 1 if kind == 17 else 2
-                listed |= {t[n:] + t[:n] for t in listed}
-            for t in listed:
-                for u in [t] + [t[:s] + (t[s] + d,) + t[s + 1:]
-                                for s in range(len(t)) for d in (-1, 1)]:
-                    assert mutation_module._is_target(kind, g.rhs, None, u) \
-                        == (u in listed), (kind, u, render_grammar(g))
-
-
 def test_invalid_input_is_refused_before_any_draw():
     # p0 is empty.  Seed 0's first draw puts p1 into p1 itself and
     # misses; putting it into p0 would fit, and even repair the input.
     # The input is checked once, right after the applicability check,
-    # and refused before any draw, so the source is left untouched; the
-    # repairing target is refused when forced, too.
+    # and refused before any draw, so the source is left untouched.
     g = parse_grammar("p0 -> ; p1 -> 1")
     a = NoteAlphabet((1,))
     assert applicable(g, MutationKind.ADD_RULE_REF)
@@ -957,9 +881,6 @@ def test_invalid_input_is_refused_before_any_draw():
     with pytest.raises(MutationTargetError, match="not structurally valid"):
         apply_mutation(g, MutationKind.ADD_RULE_REF, a, rng)
     assert rng.below(2**30) == RandomSource(0).below(2**30)
-    with pytest.raises(MutationTargetError, match="not structurally valid"):
-        apply_mutation(g, MutationKind.ADD_RULE_REF, a, RandomSource(0),
-                       targets=(1, 0, 0))
 
 
 def test_long_run_with_a_starved_definition_swap(mini_corpus):

@@ -14,7 +14,13 @@ from tunegram.model import (
     TrajectoryRecord,
 )
 from tunegram.metrics import levenshtein
-from tunegram.mutation import RandomSource, apply_mutation, derive_seed
+from tunegram.mutation import (
+    RandomSource,
+    _fits,
+    _outcome,
+    apply_mutation,
+    derive_seed,
+)
 from tunegram.pipeline import (
     DEFAULT_EXCLUDED,
     RunConfig,
@@ -152,9 +158,8 @@ def test_run_forced_definition_swap_golden():
     g = induce(HORNPIPE)
     by_expansion = {expand_rule(g, i): i for i in g.rhs}
     targets = (by_expansion[(2, 1, 2)], by_expansion[(4, 4)])
-    outcome = apply_mutation(g, MutationKind.SWAP_DEFINITIONS,
-                             NoteAlphabet.from_tune(HORNPIPE), RandomSource(0),
-                             targets=targets)
+    assert _fits(MutationKind.SWAP_DEFINITIONS, g, targets)
+    outcome = _outcome(MutationKind.SWAP_DEFINITIONS, g, targets, 1)
     swapped = expand(outcome.grammar)
     assert swapped == HORNPIPE_SWAPPED
     assert levenshtein(HORNPIPE, swapped) == 21

@@ -12,8 +12,9 @@ is reused.
 
 A mutation row times, on a fresh grammar, ``applicable``, then as many
 draws of the kind as the grammar has rules (``_draw`` and ``_fits``, the
-loop ``apply_mutation`` runs), then ``apply_mutation`` on the target that
-seed 0's draws end on.  How many draws a mutation takes is random: on
+loop ``apply_mutation`` runs), then the rest of ``apply_mutation`` on the
+target that seed 0's draws end on: the input check, the fit and the
+outcome (``_outcome``).  How many draws a mutation takes is random: on
 the sparse families below it is about R or R/2 on average, but one
 seed's draws at n and at 4n differed ninefold.  Drawing R times keeps
 that spread out of the ratio while still charging the draws: a draw
@@ -44,8 +45,8 @@ from tunegram.mutation import (
     RandomSource,
     _draw,
     _fits,
+    _outcome,
     applicable,
-    apply_mutation,
 )
 from tunegram.sequitur import expand, induce, pai
 
@@ -209,7 +210,9 @@ def _mutation_row(kind, name):
                 drawn = _draw(kind, g, ALPHABET, rng)
                 if drawn is not None:
                     _fits(kind, g, drawn)
-            apply_mutation(g, kind, ALPHABET, rng, targets=t)
+            validate_grammar(g)
+            _fits(kind, g, t)
+            _outcome(kind, g, t, 1)
     return setup, call
 
 

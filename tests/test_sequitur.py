@@ -116,6 +116,14 @@ def test_expand_rule_pieces():
     assert expand_rule(g, 0) == expand(g)
 
 
+def test_expand_of_a_terminal_subclass_is_its_value():
+    class Note(Terminal):
+        __slots__ = ()
+
+    g = Grammar({0: [Note(3), RuleRef(1), Note(4)], 1: [Terminal(5), Note(6)]})
+    assert expand_rule(g, 0) == (3, 5, 6, 4)
+
+
 def test_expand_rule_errors():
     g = parse_grammar("p0 -> 1 2")
     with pytest.raises(UnknownRuleError):
@@ -175,11 +183,11 @@ def test_expand_rule_matches_a_fold_over_its_own_walk(mini_corpus):
         for k in rnd.choices((2, 3, 5, 12), k=300)]
     for t in tunes:
         g = induce(t)
+        memo = {}
+        for x in postorder(g.rhs)[0]:
+            memo[x] = tuple(v for s in g.rhs[x] for v in (
+                (s.value,) if isinstance(s, Terminal) else memo[s.rule_id]))
         for r in g.rhs:
-            memo = {}
-            for x in postorder(g.rhs, (r,))[0]:
-                memo[x] = tuple(v for s in g.rhs[x] for v in (
-                    (s.value,) if isinstance(s, Terminal) else memo[s.rule_id]))
             assert expand_rule(g, r) == memo[r]
 
 
