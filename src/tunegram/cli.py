@@ -1,9 +1,9 @@
 """Command line front end.
 
 Subcommands: ``parse``, ``pai``, ``mutate``, ``ed`` for single tunes,
-and ``experiment per-kind | trajectories | encoding`` for corpus runs
-that write CSV files.  Output is deterministic for a given seed, also
-across ``--workers`` settings.
+``experiment per-kind | trajectories | encoding`` for corpus runs that
+write CSV files, and ``info`` for what a run would use.  Output is
+deterministic for a given seed, also across ``--workers`` settings.
 """
 
 from __future__ import annotations
@@ -13,8 +13,9 @@ import sys
 from os.path import isdir
 from typing import Callable, Iterable, Sequence
 
+from . import __version__
 from .corpus import load_corpus, write_tune
-from .metrics import levenshtein
+from .metrics import ACTIVE_BACKEND, levenshtein
 from .midi import export_midi
 from .model import (
     MutationKind,
@@ -23,7 +24,7 @@ from .model import (
     TunegramError,
     render_grammar,
 )
-from .mutation import DEFAULT_EXCLUDED, derive_seed
+from .mutation import DEFAULT_EXCLUDED, MAX_ATTEMPTS, derive_seed
 from .pipeline import RunConfig, run, run_per_kind
 from .sequitur import induce, pai, to_intervals
 
@@ -95,6 +96,14 @@ def _cmd_ed(args: argparse.Namespace) -> int:
     a = _load_tune(args.file_a)
     b = _load_tune(args.file_b)
     print(levenshtein(a, b))
+    return 0
+
+
+def _cmd_info(args: argparse.Namespace) -> int:
+    print(f"tunegram: {__version__}")
+    print("python: {}.{}.{}".format(*sys.version_info))
+    print(f"backend: {ACTIVE_BACKEND}")
+    print(f"max_attempts: {MAX_ATTEMPTS}")
     return 0
 
 
@@ -205,6 +214,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file_a")
     p.add_argument("file_b")
     p.set_defaults(func=_cmd_ed)
+
+    p = sub.add_parser("info", help="print the version, the Python, the "
+                       "edit-distance backend and the mutation draw cap")
+    p.set_defaults(func=_cmd_info)
 
     exp = sub.add_parser("experiment", help="corpus-level experiments")
     esub = exp.add_subparsers(dest="experiment", required=True)

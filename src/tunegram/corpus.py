@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from importlib import resources
 from os.path import splitext
 from pathlib import Path
 from typing import Sequence
@@ -109,6 +108,9 @@ def load_mini_corpus() -> list[CorpusTune]:
     the package, for experiments and tests that need a corpus without
     depending on an external collection.
     """
+    # Imported here, so that importing the package does not load it:
+    # it would be the largest part of that import.
+    from importlib import resources
     return load_corpus(resources.files(__package__) / "data" / "mini_corpus")
 
 

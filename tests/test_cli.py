@@ -8,8 +8,11 @@ from pathlib import Path
 
 import pytest
 
+import tunegram
 from tunegram.cli import TRAJECTORY_HEADER, main
 from tunegram.corpus import write_tune
+from tunegram.metrics import ACTIVE_BACKEND
+from tunegram.mutation import MAX_ATTEMPTS
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -45,6 +48,17 @@ def test_pai_pitch_and_interval(tune_file, capsys):
     # the 15 successive differences of the 16 pitches
     assert main(["pai", tune_file, "--intervals"]) == 0
     assert capsys.readouterr().out == "7\n"
+
+
+def test_info_prints_version_python_backend_and_draw_cap(capsys):
+    assert main(["info"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [
+        f"tunegram: {tunegram.__version__}",
+        "python: {}.{}.{}".format(*sys.version_info),
+        f"backend: {ACTIVE_BACKEND}",
+        f"max_attempts: {MAX_ATTEMPTS}",
+    ]
 
 
 def test_ed_between_files(tmp_path, capsys):

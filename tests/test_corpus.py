@@ -112,13 +112,15 @@ def test_empty_files_skipped_with_one_warning(tmp_path, caplog):
 
 
 def test_import_leaves_logging_out():
-    # The skipped-files warning imports logging when it fires, so that
-    # the package's import does not pay for it.  -S keeps site out,
-    # which may import logging itself.
+    # The skipped-files warning imports logging when it fires, and the
+    # bundled corpus importlib.resources when it is loaded, so that the
+    # package's import pays for neither.  -S keeps site out, which may
+    # import logging itself.
     code = ("import sys\n"
-            "assert 'logging' not in sys.modules\n"
+            "lazy = {'logging', 'importlib.resources'}\n"
+            "assert not lazy & set(sys.modules)\n"
             "import tunegram\n"
-            "assert 'logging' not in sys.modules, 'logging was imported'\n")
+            "assert not lazy & set(sys.modules), lazy & set(sys.modules)\n")
     env = {**os.environ,
            "PYTHONPATH": str(Path(tunegram.__file__).parent.parent)}
     proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,

@@ -261,6 +261,21 @@ def test_round_trip_and_canonicality(t):
     assert report.canonical_ok, report.canonical_violations
 
 
+@given(tunes, st.lists(st.integers(-2**70, 2**70), min_size=24,
+                       max_size=24, unique=True))
+@settings(max_examples=200, deadline=None)
+def test_induction_commutes_with_relabelling(t, labels):
+    # Induction only compares notes for equality: relabelling them
+    # one-to-one, into negatives and ints past 2**64 too, relabels the
+    # grammar's terminals and changes nothing else.
+    relabelled = {
+        rid: tuple(Terminal(labels[s.value]) if isinstance(s, Terminal)
+                   else s for s in rhs)
+        for rid, rhs in induce(t).rhs.items()}
+    got = induce([labels[v] for v in t]).rhs
+    assert list(got.items()) == list(relabelled.items())
+
+
 @given(tunes)
 @settings(max_examples=100, deadline=None)
 def test_induction_is_deterministic(t):
@@ -418,6 +433,47 @@ def test_induced_grammars_of_long_tunes_match_recorded_digest():
     assert h.hexdigest() == LONG_TUNES_DIGEST
 
 
+def _thue_morse(n):
+    return tuple(bin(i).count("1") % 2 for i in range(n))
+
+
+def _fibonacci_word(n):
+    a, b = (0,), (0, 1)
+    while len(b) < n:
+        a, b = b, b + a
+    return b[:n]
+
+
+def _rule_heavy_tunes():
+    """Tunes that make the most rules per note: Thue-Morse and the
+    Fibonacci word at 4,096 notes, one repeated note, and random binary
+    tunes of up to 400 notes."""
+    rnd = random.Random(26)
+    out = [_thue_morse(4096), _fibonacci_word(4096), (3,) * 4096]
+    for _ in range(300):
+        out.append(tuple(rnd.randrange(2)
+                         for _ in range(rnd.randint(1, 400))))
+    return out
+
+
+# sha256 over render_grammar(induce(t)) for every tune of
+# _rule_heavy_tunes, one grammar after another, recorded before symbols
+# were coded densely.  These tunes hold the most rules per note, so they
+# probe the bound on symbol codes that the digram keys rely on.
+RULE_HEAVY_DIGEST = (
+    "c42448e4c2f42bef633b7545149314c1f05eec3e17926b9cc7ec0be8023d02f3")
+
+
+def test_induced_grammars_of_rule_heavy_tunes_match_recorded_digest():
+    h = hashlib.sha256()
+    for t in _rule_heavy_tunes():
+        g = induce(t)
+        assert expand(g) == t and validate_grammar(g).ok, t
+        h.update(render_grammar(g).encode())
+        h.update(b"\n")
+    assert h.hexdigest() == RULE_HEAVY_DIGEST
+
+
 def test_induce_leaves_no_garbage_cycles():
     # Whatever induction builds on the way must be freed by reference
     # counting alone, or it lives on until a full collection.
@@ -433,16 +489,20 @@ def test_induce_leaves_no_garbage_cycles():
 
 
 def test_induce_peak_memory():
-    # A use count per rule, not a set of use nodes: on this walk the
-    # sets took induce's peak from about 12.5 to 16.3 MiB.
-    t = _random_walk(random.Random(1), 100_000)
-    tracemalloc.start()
-    try:
-        induce(t)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 14 * 2**20
+    # A use count per rule, not a set of use nodes: on the walk the
+    # sets took induce's peak from about 12.5 to 16.3 MiB.  All-distinct
+    # notes make the note -> code map as large as the tune; keeping it,
+    # or the digram index, while the grammar is built shows here.
+    rows = ((_random_walk(random.Random(1), 100_000), 14),
+            (tuple(range(80_000)), 15))
+    for t, mib in rows:
+        tracemalloc.start()
+        try:
+            induce(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < mib * 2**20, (len(t), peak / 2**20)
 
 
 @pytest.mark.xfail(
