@@ -1,10 +1,11 @@
 """Core value types: tunes, grammar symbols, grammars, mutation kinds.
 
 A tune is a plain sequence of integer pitches.  A grammar is a flat
-context-free grammar over those integers: rule 0 is the start rule and
-every other rule must be referenced at least twice for the grammar to be
-in canonical (Sequitur) form.  Everything here is immutable; mutation
-operators build new grammars rather than editing in place.
+context-free grammar over those integers, with rule 0 the start rule.
+It is valid when it expands: :func:`validate_grammar` checks that and
+nothing more, since mutated grammars are not in Sequitur's normal form
+by design.  Everything here is immutable; mutation operators build new
+grammars rather than editing in place.
 
 A :class:`Grammar` is its rules, stored once, as the id-ordered ``rhs``
 map from rule id to rhs.  It owns every view derived from them, each
@@ -12,7 +13,7 @@ computed once, on first read, and shared by every caller: its ids as a
 list (``ids``), its walk of the reference graph (``walk``, one
 :func:`postorder` over every rule, which also records empty rhs and
 missing references), its symbol occurrences (``occurrences``), its
-mutation applicability answers, its validation report, and its
+mutation applicability answers, its structural violations, and its
 reference-graph facts as int bitmasks, one bit per rule (``bit``, built
 where it is tested): the rules each rule reaches (``reach``, an OR-fold
 over the walk) and the rules besides itself whose removal takes each
@@ -27,7 +28,7 @@ import functools
 import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 Note = int
 Tune = tuple[Note, ...]
@@ -95,9 +96,10 @@ class Grammar:
     memoises :func:`tunegram.mutation.applicable` one kind at a time,
     as kinds are asked about; like the cached views below it is a fact
     of the rules, never compared.  Use :func:`validate_grammar` to
-    check structural validity and canonicality; the constructor only
-    rejects negative ids, so that invalid grammars can still be
-    represented and reported on.
+    check structural validity; the constructor only rejects negative
+    ids and rhs items that are neither a :class:`Terminal` nor a
+    :class:`RuleRef`, so that invalid grammars can still be represented
+    and reported on.
     """
 
     rhs: dict[int, tuple[Symbol, ...]]
@@ -108,7 +110,13 @@ class Grammar:
         ids = sorted(rhs)
         if ids and ids[0] < 0:
             raise ValueError(f"rule id must be non-negative, got {ids[0]}")
-        self.__dict__.update(rhs={i: tuple(rhs[i]) for i in ids}, _applicable={})
+        rules = {i: tuple(rhs[i]) for i in ids}
+        for i, items in rules.items():
+            for sym in items:
+                if not isinstance(sym, (Terminal, RuleRef)):
+                    raise TypeError(f"rule p{i} holds {sym!r}, "
+                                    f"neither a Terminal nor a RuleRef")
+        self.__dict__.update(rhs=rules, _applicable={})
 
     @classmethod
     def _from_rhs(cls, rhs: dict[int, tuple[Symbol, ...]]) -> Grammar:
@@ -177,8 +185,8 @@ class Grammar:
         return needs
 
     @functools.cached_property
-    def _report(self) -> ValidationReport:
-        """:func:`validate_grammar`'s report, computed on first read."""
+    def _violations(self) -> tuple[str, ...]:
+        """:func:`validate_grammar`'s answer, computed on first read."""
         structural = [] if ROOT_ID in self.rhs else ["missing root rule p0"]
         _, cycle, faults = self.walk
         # Stable: one rule's missing references keep their rhs order.
@@ -187,9 +195,7 @@ class Grammar:
                               else f"rule p{x} references missing rule p{missing}")
         if cycle is not None:
             structural.append("reference cycle: " + " -> ".join(f"p{i}" for i in cycle))
-        # A second grammar of the same rules: holding this one would make
-        # a reference cycle, which only the cycle collector frees.
-        return ValidationReport(tuple(structural), Grammar._from_rhs(self.rhs))
+        return tuple(structural)
 
     @functools.cached_property
     def occurrences(self) -> dict[type, list[tuple[int, int]]]:
@@ -210,16 +216,6 @@ class Grammar:
 
     def __len__(self) -> int:
         return len(self.rhs)
-
-
-def reference_counts(g: Grammar) -> dict[int, int]:
-    """Each rule id -> how many times it is referenced across all rhs."""
-    counts = dict.fromkeys(g.rhs, 0)
-    for rhs in g.rhs.values():
-        for sym in rhs:
-            if isinstance(sym, RuleRef):
-                counts[sym.rule_id] = counts.get(sym.rule_id, 0) + 1
-    return counts
 
 
 def render_grammar(g: Grammar) -> str:
@@ -315,83 +311,19 @@ def postorder(rules: Mapping[int, Sequence[Symbol]],
     return order, cycle, faults
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """Outcome of :func:`validate_grammar`.
+def validate_grammar(g: Grammar) -> tuple[str, ...]:
+    """The structural violations of ``g``, one message each, or ``()``
+    when it is valid: rule 0 exists, every rhs is non-empty, every
+    reference resolves, and the reference relation is acyclic.  ``g``
+    computes them on first read and keeps them.
 
-    Structural problems make a grammar unusable (it cannot be expanded);
-    canonicality problems only mean it is not in Sequitur normal form,
-    which is the expected state for freshly mutated grammars.  The
-    canonical half is computed on first read.  Reports compare by their
-    fields, so the reports of equal grammars are equal.
+    They read only :attr:`Grammar.walk`: its faults, put in id order
+    (empty rhs first, then missing references), and its cycle.
+    Sequitur's invariants (no repeated digram, every rule besides the
+    root used twice) are not checked: mutated grammars break them by
+    design.
     """
-
-    structural_violations: tuple[str, ...]
-    grammar: Grammar
-
-    @functools.cached_property
-    def canonical_violations(self) -> tuple[str, ...]:
-        canonical: list[str] = []
-        for (a, b), places in digram_census(self.grammar).items():
-            if len(places) < 2:
-                continue
-            # Overlapping occurrences of an equal-halves digram (x x inside
-            # x x x) are the one sanctioned repeat.  Three places always hold
-            # a pair that does not overlap (no three indices are pairwise
-            # adjacent), so only a lone pair can be the sanctioned one.
-            if len(places) > 2 or not (
-                    a == b and places[0][0] == places[1][0]
-                    and abs(places[0][1] - places[1][1]) == 1):
-                where = ", ".join(f"p{r}@{i}" for r, i in places)
-                canonical.append(
-                    f"digram {format_symbol(a)} {format_symbol(b)} repeats at {where}")
-
-        counts = reference_counts(self.grammar)
-        for rule_id in self.grammar.rhs:
-            if rule_id != ROOT_ID and counts[rule_id] < 2:
-                canonical.append(
-                    f"rule p{rule_id} is referenced {counts[rule_id]} time(s)")
-        return tuple(canonical)
-
-    @property
-    def structural_ok(self) -> bool:
-        return not self.structural_violations
-
-    @property
-    def canonical_ok(self) -> bool:
-        return not self.canonical_violations
-
-    @property
-    def ok(self) -> bool:
-        return self.structural_ok and self.canonical_ok
-
-
-def digram_census(g: Grammar) -> dict[tuple[Symbol, Symbol], list[tuple[int, int]]]:
-    """All adjacent symbol pairs, keyed by pair, valued by (rule, index)."""
-    census: dict[tuple[Symbol, Symbol], list[tuple[int, int]]] = {}
-    for rule_id, rhs in g.rhs.items():
-        for i in range(len(rhs) - 1):
-            census.setdefault((rhs[i], rhs[i + 1]), []).append((rule_id, i))
-    return census
-
-
-def validate_grammar(g: Grammar) -> ValidationReport:
-    """Check structural validity and canonicality, reported separately;
-    ``g`` computes its report on first read and keeps it.
-
-    Structural: rule 0 exists, every rhs is non-empty, every reference
-    resolves, and the reference relation is acyclic.
-
-    Canonical (Sequitur invariants): no digram occurs twice, except that
-    overlapping occurrences of a digram with equal halves (as in
-    ``4 4 4``) do not count as repeats; and every rule besides the root
-    is referenced at least twice; computed when first read.
-
-    The structural half reads only :attr:`Grammar.walk`: its faults,
-    put in id order (empty rhs first, then missing references), and its
-    cycle.
-    """
-    return g._report
+    return g._violations
 
 
 # ---------------------------------------------------------------------------
@@ -434,13 +366,6 @@ class MutationKind(enum.IntEnum):
         return kind
 
     @classmethod
-    def from_code(cls, code: str) -> MutationKind:
-        try:
-            return _CODE_KINDS[code.upper()]
-        except KeyError:
-            raise ValueError(f"unknown mutation code {code!r}") from None
-
-    @classmethod
     def parse(cls, text: str) -> MutationKind:
         """Accept either an index ("17") or a code ("1D")."""
         text = text.strip()
@@ -449,7 +374,10 @@ class MutationKind(enum.IntEnum):
                 return cls(int(text))
             except ValueError:
                 raise ValueError(f"mutation index out of range: {text}") from None
-        return cls.from_code(text)
+        try:
+            return _CODE_KINDS[text.upper()]
+        except KeyError:
+            raise ValueError(f"unknown mutation code {text!r}") from None
 
 
 _CODE_KINDS = {kind.code: kind for kind in MutationKind}
@@ -481,15 +409,6 @@ class NoteAlphabet:
     @classmethod
     def from_tune(cls, tune: Sequence[int]) -> NoteAlphabet:
         return cls(tuple(tune))
-
-    def __contains__(self, note: int) -> bool:
-        return note in self.notes
-
-    def __len__(self) -> int:
-        return len(self.notes)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.notes)
 
 
 @dataclass(frozen=True, slots=True)

@@ -7,10 +7,10 @@ mix or reorder the two, 17-19 act on whole rules.
 A mutation is decided on its target, a tuple naming the rules,
 positions and symbols the edit uses (shapes in :func:`_edit`), before
 any rule is rewritten.  The input is checked once, before any target:
-a grammar that is not structurally valid (``validate_grammar``) raises
-``MutationTargetError`` before any draw, even where some target would
-repair it.  Every target is drawn, and takes one path: draw, fit rule,
-edit.
+a grammar with any structural violation (``validate_grammar``) raises
+``MutationTargetError`` on the first, before any draw, even where some
+target would repair it.  Every target is drawn, and takes one path:
+draw, fit rule, edit.
 
 ``_draw`` makes every random choice (rule, occurrence, index, span,
 symbol) uniformly from a :class:`RandomSource`.  Occurrences are drawn
@@ -43,8 +43,9 @@ the outcome's ``touched``.  Since ``_fits`` is exact on the checked
 input, the result is structurally valid without a check of its own,
 and nothing here walks it.
 
-Everything read off the input grammar (its views, validation report
-and applicability) is a fact the grammar owns, computed once and shared.
+Everything read off the input grammar (its views, structural
+violations and applicability) is a fact the grammar owns, computed once
+and shared.
 """
 
 from __future__ import annotations
@@ -484,11 +485,10 @@ def apply_mutation(
     if not applicable(g, kind):
         raise InapplicableMutationError(
             f"mutation {int(kind)} ({kind.code}) has no valid target here")
-    report = validate_grammar(g)
-    if not report.structural_ok:
+    violations = validate_grammar(g)
+    if violations:
         raise MutationTargetError(
-            f"the input grammar is not structurally valid "
-            f"({report.structural_violations[0]})")
+            f"the input grammar is not structurally valid ({violations[0]})")
     t, attempts = None, 0
     while t is None or not _fits(kind, g, t):
         t = _draw(kind, g, alphabet, rng)

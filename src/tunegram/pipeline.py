@@ -67,10 +67,6 @@ class RunResult:
     final: Tune
     trajectory: tuple[TrajectoryRecord, ...]
 
-    @property
-    def kinds_applied(self) -> tuple[MutationKind, ...]:
-        return tuple(r.kind for r in self.trajectory)
-
 
 def run(
     t: Sequence[int],

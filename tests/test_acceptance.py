@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from canonical import violations
 from tunegram.cli import main
 from tunegram.metrics import levenshtein
 from tunegram.model import (
@@ -168,11 +169,11 @@ def test_c05_round_trip_and_canonicality(mini_corpus):
         t = tuple(rnd.randrange(size) for _ in range(rnd.randint(1, 512)))
         g = induce(t)
         assert expand(g) == t
-        assert validate_grammar(g).ok
+        assert not violations(g)
     for ct in mini_corpus:
         g = induce(ct.tune)
         assert expand(g) == ct.tune
-        assert validate_grammar(g).ok
+        assert not violations(g)
     assert time.perf_counter() - t0 < 10
 
 
@@ -187,7 +188,7 @@ def test_c06_random_mutations_are_safe():
         out = random_mutation(g, alphabet,
                               RandomSource(derive_seed(607, i)),
                               excluded=frozenset())
-        assert validate_grammar(out.grammar).structural_ok
+        assert not validate_grammar(out.grammar)
         result = expand(out.grammar)
         assert len(result) >= 1
         assert set(result) <= set(alphabet.notes)

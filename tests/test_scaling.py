@@ -4,11 +4,11 @@ Each row times one call at n and at 4n, best of 3 with the two sizes
 taken in turn, in ``time.process_time`` with the collector off (its
 passes grow with the heap, not with the algorithm), and asserts a ratio
 below 8, timing a row once more before it fails.  Linear time gives
-about 4 and quadratic time about 16.  Each n
-makes one call take about 5 ms or more on a 2-vCPU VM (Python 3.11),
-except where the answer needs no pass over the input.  Each call gets
-fresh input built outside the timed region, so no cached grammar view
-is reused.
+about 4 and quadratic time about 16.  Each n makes one call take about
+5 ms or more on a 2-vCPU VM (Python 3.11), except where the answer
+needs no pass over the input, and except the three ``validate-*`` rows,
+which take about 0.5-0.9 ms at n.  Each call gets fresh input built
+outside the timed region, so no cached grammar view is reused.
 
 A mutation row times, on a fresh grammar, ``applicable``, then as many
 draws of the kind as the grammar has rules (``_draw`` and ``_fits``, the
@@ -159,18 +159,14 @@ def _one_change_apart(n, tmp_path):
     return a, a[:n // 2] + (12,) + a[n // 2 + 1:]
 
 
-def _canonical_check(g):
-    return validate_grammar(g).canonical_violations
-
-
 ENTRY_POINTS = [
     ("induce-random", 2_000, _same(lambda n, _: random_tune(n)), induce),
     ("induce-strophic", 2_000, _same(lambda n, _: strophic_tune(n)), induce),
     ("expand-rule-chain", 4_000, _grammar("rule_chain"), expand),
     ("expand-induced", 20_000, _grammar("induced_random"), expand),
-    ("validate-rule-chain", 1_500, _grammar("rule_chain"), _canonical_check),
-    ("validate-induced", 8_000, _grammar("induced_random"), _canonical_check),
-    ("validate-wide-root", 1_000, _grammar("wide_root"), _canonical_check),
+    ("validate-rule-chain", 1_500, _grammar("rule_chain"), validate_grammar),
+    ("validate-induced", 8_000, _grammar("induced_random"), validate_grammar),
+    ("validate-wide-root", 1_000, _grammar("wide_root"), validate_grammar),
     ("render-parse-induced", 4_000, _grammar("induced_random"),
      lambda g: parse_grammar(render_grammar(g))),
     ("render-parse-rule-chain", 1_000, _grammar("rule_chain"),

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from canonical import canonical_violations, violations
 from tunegram.model import (
     EmptyTuneError,
     Grammar,
@@ -54,7 +55,7 @@ def test_abracadabra_pai_is_7():
     g = induce(ABRACADABRA)
     assert pai(g) == 7
     assert expand(g) == ABRACADABRA
-    assert validate_grammar(g).ok
+    assert not violations(g)
 
 
 def test_abracadabra_grammar_shape():
@@ -83,7 +84,7 @@ def test_interval16_pai():
     iv = (0, 9, -4, -3, 0, 3, -3, 0, -2, 9, -4, -3, 0, 3, -3, 0)
     g = induce(iv)
     assert expand(g) == iv
-    assert validate_grammar(g).ok
+    assert not violations(g)
     assert pai(g) == 8
 
 
@@ -99,7 +100,7 @@ def test_induce_rejects_empty_and_non_ints():
 def test_hornpipe_round_trip_and_canonical():
     g = induce(HORNPIPE)
     assert expand(g) == HORNPIPE
-    assert validate_grammar(g).ok
+    assert not violations(g)
 
 
 def test_hornpipe_reference_grammar_expands():
@@ -172,7 +173,7 @@ def test_expand_leaves_out_faults_the_root_does_not_reach():
     g = parse_grammar("p0 -> 1 p2; p2 -> 3; p7 ->")
     assert expand(g) == (1, 3)
     g = parse_grammar("p0 -> 1 p2; p2 -> 3; p5 -> p6; p6 -> p5 4")
-    assert not validate_grammar(g).structural_ok
+    assert validate_grammar(g)
     assert expand(g) == (1, 3)
 
 
@@ -256,9 +257,8 @@ def test_to_intervals_reconstructs(t):
 def test_round_trip_and_canonicality(t):
     g = induce(t)
     assert expand(g) == tuple(t)
-    report = validate_grammar(g)
-    assert report.structural_ok, report.structural_violations
-    assert report.canonical_ok, report.canonical_violations
+    assert not validate_grammar(g), validate_grammar(g)
+    assert not canonical_violations(g), canonical_violations(g)
 
 
 @given(tunes, st.lists(st.integers(-2**70, 2**70), min_size=24,
@@ -316,7 +316,7 @@ REGRESSION_TUNES = [
 def test_round_trip_regressions(t):
     g = induce(t)
     assert expand(g) == tuple(t)
-    assert validate_grammar(g).ok
+    assert not violations(g)
 
 
 def test_long_periodic_stress():
@@ -328,7 +328,7 @@ def test_long_periodic_stress():
                 t = (motif * reps) + motif[:extra]
                 g = induce(t)
                 assert expand(g) == tuple(t)
-                assert validate_grammar(g).ok, (motif, reps, extra)
+                assert not violations(g), (motif, reps, extra)
 
 
 def _digest_corpus(mini_corpus):
@@ -378,7 +378,7 @@ def test_every_small_tune_round_trips_in_canonical_form():
         for n in range(1, longest + 1):
             for t in itertools.product(range(k), repeat=n):
                 g = induce(t)
-                assert expand(g) == t and validate_grammar(g).ok, t
+                assert expand(g) == t and not violations(g), t
                 h.update(render_grammar(g).encode())
                 h.update(b"\n")
     assert h.hexdigest() == SMALL_TUNES_DIGEST
@@ -468,7 +468,7 @@ def test_induced_grammars_of_rule_heavy_tunes_match_recorded_digest():
     h = hashlib.sha256()
     for t in _rule_heavy_tunes():
         g = induce(t)
-        assert expand(g) == t and validate_grammar(g).ok, t
+        assert expand(g) == t and not violations(g), t
         h.update(render_grammar(g).encode())
         h.update(b"\n")
     assert h.hexdigest() == RULE_HEAVY_DIGEST
