@@ -24,7 +24,7 @@ from .model import (
     TunegramError,
     render_grammar,
 )
-from .mutation import DEFAULT_EXCLUDED, MAX_ATTEMPTS, derive_seed
+from .mutation import DEFAULT_EXCLUDED, MAX_ATTEMPTS, check_seed, derive_seed
 from .pipeline import RunConfig, run, run_per_kind
 from .sequitur import induce, pai, to_intervals
 
@@ -132,6 +132,9 @@ def _per_kind_job(job: tuple[Tune, int]) -> list[tuple[int, int]]:
 
 
 def _cmd_per_kind(args: argparse.Namespace) -> int:
+    # derive_seed folds its parts modulo 2**64: without this check,
+    # --seed -1 would write the CSV of --seed 2**64 - 1.
+    check_seed(args.seed)
     tunes = load_corpus(args.corpus)
     jobs = [(ct.tune, derive_seed(args.seed, i)) for i, ct in enumerate(tunes)]
     results = _map_jobs(_per_kind_job, jobs, args.workers)
@@ -150,6 +153,7 @@ def _trajectory_job(job: tuple[Tune, int, int, tuple[int, ...]]) -> list[tuple]:
 
 
 def _cmd_trajectories(args: argparse.Namespace) -> int:
+    check_seed(args.seed)  # as in _cmd_per_kind
     tunes = load_corpus(args.corpus)
     excluded = tuple(sorted(int(k) for k in _parse_excluded(args.exclude)))
     jobs = [(ct.tune, args.steps, derive_seed(args.seed, i), excluded)

@@ -98,23 +98,37 @@ class NoApplicableMutationError(TunegramError):
     """Every non-excluded kind is inapplicable to this grammar."""
 
 
+def check_seed(seed: int) -> int:
+    """``seed`` itself if it fits in 64 unsigned bits, else ValueError:
+    the one range check of every seed a caller passes in."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must fit in 64 unsigned bits, got {seed}")
+    return seed
+
+
 class RandomSource:
     """A deterministic random stream with a 64-bit unsigned seed.
 
     Backed by CPython's ``random.Random`` (the Mersenne Twister
     MT19937, with a documented seeding procedure), so an identical seed
-    and call sequence give identical outputs on every platform.  A
-    source is single-owner: never share one between concurrent runs;
-    derive per-run seeds with :func:`derive_seed` instead.
+    and call sequence give identical outputs on every platform.
+    :meth:`reseed` restarts the stream in place, exactly as a new
+    source of that seed would start.  A source is single-owner: never
+    share one between concurrent runs; derive per-run seeds with
+    :func:`derive_seed` instead.
     """
 
     __slots__ = ("seed", "_rng")
 
     def __init__(self, seed: int) -> None:
-        if not 0 <= seed < 2**64:
-            raise ValueError(f"seed must fit in 64 unsigned bits, got {seed}")
-        self.seed = seed
+        self.seed = check_seed(seed)
         self._rng = random.Random(seed)
+
+    def reseed(self, seed: int) -> None:
+        """Restart as ``RandomSource(seed)``, without building a new
+        generator (cheaper than a new source)."""
+        self.seed = check_seed(seed)
+        self._rng.seed(seed)
 
     def below(self, n: int) -> int:
         """Uniform integer in [0, n)."""
@@ -391,11 +405,12 @@ def applicable(g: Grammar, kind: MutationKind) -> bool:
     succeed: some target of the kind fits (see :func:`_fits`), in closed
     form (:func:`_decide`), exact on acyclic input, a bool on any input.
     Decided once per grammar and kind; ``g`` keeps the answer."""
-    kind = MutationKind(kind)
-    memo = g._applicable
-    if kind not in memo:
-        memo[kind] = _decide(g, kind)
-    return memo[kind]
+    ok = g._applicable.get(kind)  # a plain int finds its member's entry
+    if ok is None:
+        if type(kind) is not MutationKind:
+            kind = MutationKind(kind)
+        ok = g._applicable[kind] = _decide(g, kind)
+    return ok
 
 
 def _decide(g: Grammar, kind: MutationKind) -> bool:
@@ -481,7 +496,8 @@ def apply_mutation(
     guarantees a fitting target that a draw can hit, so drawing goes on
     past MAX_ATTEMPTS.
     """
-    kind = MutationKind(kind)
+    if type(kind) is not MutationKind:
+        kind = MutationKind(kind)
     if not applicable(g, kind):
         raise InapplicableMutationError(
             f"mutation {int(kind)} ({kind.code}) has no valid target here")
@@ -503,9 +519,12 @@ def _outcome(kind: MutationKind, g: Grammar, t,
     patch = _edit(kind, g, t)
     # The rules keep id order: a rewritten rule keeps its place, and
     # kind 18's new id is the highest, so it lands last.
-    grammar = Grammar._from_rhs({
-        i: rhs for i, rhs in {**g.rhs, **patch}.items() if rhs is not None})
-    return MutationOutcome(kind, grammar, tuple(patch), attempts)
+    rhs = g.rhs.copy()
+    rhs.update(patch)
+    if kind == MutationKind.REMOVE_RULE:  # the one patch that holds None
+        rhs = {i: r for i, r in rhs.items() if r is not None}
+    return MutationOutcome(kind, Grammar._from_rhs(rhs), tuple(patch),
+                           attempts)
 
 
 def _draw_pool(excluded: Iterable[int]) -> list[MutationKind]:

@@ -27,6 +27,7 @@ from .mutation import (
     _draw_pool,
     applicable,
     apply_mutation,
+    check_seed,
     derive_seed,
     random_mutation,
 )
@@ -55,8 +56,7 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in 64 unsigned bits")
+        check_seed(self.seed)
         excluded = frozenset(MutationKind).difference(_draw_pool(self.excluded))
         object.__setattr__(self, "excluded", excluded)
 
@@ -116,8 +116,12 @@ def run_per_kind(t: Sequence[int], seed: int) -> dict[MutationKind, int]:
 
     Returns kind -> ED(mutated tune, t); kinds that are inapplicable to
     this tune's grammar are simply absent.  Each kind gets its own
-    derived RandomSource, so measurements do not influence one another.
+    derived seed, ``derive_seed(seed, kind)``: the tune's one
+    RandomSource is reseeded with it before the kind draws, so
+    measurements do not influence one another.  ``seed`` must fit in
+    64 unsigned bits.
     """
+    rng = RandomSource(seed)  # checks the seed; no kind draws from it
     original = tuple(t)
     if not original:
         raise EmptyTuneError("cannot measure an empty tune")
@@ -127,7 +131,7 @@ def run_per_kind(t: Sequence[int], seed: int) -> dict[MutationKind, int]:
     for kind in MutationKind:
         if not applicable(g, kind):
             continue
-        rng = RandomSource(derive_seed(seed, int(kind)))
+        rng.reseed(derive_seed(seed, int(kind)))
         outcome = apply_mutation(g, kind, alphabet, rng)
         out[kind] = levenshtein(original, expand(outcome.grammar))
     return out

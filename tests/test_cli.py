@@ -179,6 +179,23 @@ def test_trajectories_csv(corpus_dir, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("experiment", [
+    ["per-kind"],
+    ["trajectories", "--steps", "1"],
+], ids=["per-kind", "trajectories"])
+@pytest.mark.parametrize("seed", [
+    "-1", "18446744073709551616", "18446744073709551619"])
+def test_experiments_refuse_seeds_outside_64_bits(corpus_dir, tmp_path, capsys,
+                                                  experiment, seed):
+    # derive_seed folds seeds modulo 2**64, so without the check -1 would
+    # write the CSV of 2**64 - 1, and 2**64 + 3 that of 3.
+    out = tmp_path / "out.csv"
+    assert main(["experiment", *experiment, "--corpus", corpus_dir,
+                 "--seed", seed, "--out", str(out)]) == 1
+    assert not out.exists()
+    assert "seed must fit in 64 unsigned bits" in capsys.readouterr().err
+
+
 def test_trajectories_identical_across_workers(corpus_dir, tmp_path, capsys):
     outs = []
     for workers in ("1", "2"):

@@ -136,12 +136,29 @@ def test_random_source_bounds():
 
 
 def test_random_source_seed_range():
-    RandomSource(0)
+    r = RandomSource(0)
     RandomSource(2**64 - 1)
-    with pytest.raises(ValueError):
-        RandomSource(-1)
-    with pytest.raises(ValueError):
-        RandomSource(2**64)
+    r.reseed(2**64 - 1)
+    r.reseed(0)
+    for bad in (-1, 2**64):
+        with pytest.raises(ValueError, match="64 unsigned bits"):
+            RandomSource(bad)
+        with pytest.raises(ValueError, match="64 unsigned bits"):
+            r.reseed(bad)
+    assert r.seed == 0  # a refused seed leaves the source as it was
+
+
+def test_reseed_restarts_the_stream_as_a_new_source():
+    def draws(src):
+        return [src.below(1000), src.between(2, 8), src.choose("abcdefg"),
+                src.below(2**70), src.between(-5, 5), src.choose(range(50))]
+
+    r = RandomSource(7)
+    for s in (7, 0, 1234, derive_seed(3, 15), 2**64 - 1):
+        draws(r)  # part of the way into the current stream
+        r.reseed(s)
+        assert r.seed == s
+        assert draws(r) == draws(RandomSource(s))
 
 
 def test_random_source_choose():
@@ -648,6 +665,35 @@ def test_reverse_span_on_a_long_flat_rule_is_fast():
     out = apply_mutation(g, 16, alpha(g), RandomSource(1))
     assert time.perf_counter() - t0 < 0.1
     assert out.attempts == 1
+
+
+@pytest.mark.parametrize("kind,valid", [
+    (3, True),
+    (MutationKind.MOVE_RULE_REF_WITHIN, True),
+    (19, True),
+    (0, False),
+    (20, False),
+    ("3", False),
+])
+def test_kind_argument_is_a_plain_int_or_a_member(crafted, kind, valid):
+    alphabet = alpha(crafted)
+    warm = parse_grammar(render_grammar(crafted))
+    for k in MutationKind:  # every member's answer is kept before asking
+        applicable(warm, k)
+    for g in (crafted, warm):
+        if not valid:
+            with pytest.raises(ValueError):
+                applicable(g, kind)
+            with pytest.raises(ValueError):
+                apply_mutation(g, kind, alphabet, RandomSource(0))
+            continue
+        member = MutationKind(kind)
+        assert applicable(g, kind) is applicable(g, member) is True
+        out = apply_mutation(g, kind, alphabet, RandomSource(5))
+        assert type(out.kind) is MutationKind and out.kind == member
+        same = apply_mutation(g, member, alphabet, RandomSource(5))
+        assert render_grammar(out.grammar) == render_grammar(same.grammar)
+        assert out.touched == same.touched
 
 
 def test_apply_raises_when_inapplicable():

@@ -200,14 +200,14 @@ def test_per_kind_is_deterministic_per_kind(mini_corpus):
     t = mini_corpus[1].tune
     assert run_per_kind(t, seed=77) == run_per_kind(t, seed=77)
     # kind seeds are derived independently, so the stream one kind uses
-    # does not shift when another kind becomes inapplicable
+    # does not shift when another kind becomes inapplicable; reseeding
+    # the tune's one source gives each kind a fresh source's stream
     full = run_per_kind(t, seed=77)
-    rng = RandomSource(derive_seed(77, 15))
     g = induce(t)
-    outcome = apply_mutation(g, MutationKind.REVERSE_RULE,
-                             NoteAlphabet.from_tune(t), rng)
-    assert full[MutationKind.REVERSE_RULE] == levenshtein(
-        t, expand(outcome.grammar))
+    for kind in full:
+        rng = RandomSource(derive_seed(77, int(kind)))
+        outcome = apply_mutation(g, kind, NoteAlphabet.from_tune(t), rng)
+        assert full[kind] == levenshtein(t, expand(outcome.grammar))
 
 
 def test_per_kind_walks_reach_once(monkeypatch):
@@ -253,6 +253,13 @@ def test_per_kind_analyses_each_grammar_once(monkeypatch):
     assert len(calls["walk"]) == 1
     assert sorted(kind for _, kind in calls["decide"]) == list(MutationKind)
     assert len(calls["occurrences"]) == 1
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 3])
+def test_per_kind_rejects_seeds_outside_64_bits(seed):
+    # derive_seed would fold them onto seeds in range: -1 onto 2**64 - 1
+    with pytest.raises(ValueError, match="64 unsigned bits"):
+        run_per_kind(HORNPIPE, seed)
 
 
 def test_per_kind_empty_tune():
