@@ -128,7 +128,7 @@ def _map_jobs(fn: Callable, jobs: list, workers: int) -> list:
 def _per_kind_job(job: tuple[Tune, int]) -> list[tuple[int, int]]:
     notes, seed = job
     by_kind = run_per_kind(tuple(notes), seed)
-    return sorted((int(k), ed) for k, ed in by_kind.items())
+    return [(int(k), ed) for k, ed in by_kind.items()]
 
 
 def _cmd_per_kind(args: argparse.Namespace) -> int:

@@ -27,6 +27,10 @@ class CorpusFormatError(TunegramError):
         self.path = str(path)
         self.line = line
         self.column = column
+        self.message = message
+
+    def __reduce__(self):  # pickle rebuilds it in a parent process
+        return type(self), (self.path, self.line, self.column, self.message)
 
 
 @dataclass(frozen=True)

@@ -96,10 +96,10 @@ class Grammar:
     memoises :func:`tunegram.mutation.applicable` one kind at a time,
     as kinds are asked about; like the cached views below it is a fact
     of the rules, never compared.  Use :func:`validate_grammar` to
-    check structural validity; the constructor only rejects negative
-    ids and rhs items that are neither a :class:`Terminal` nor a
-    :class:`RuleRef`, so that invalid grammars can still be represented
-    and reported on.
+    check structural validity; the constructor only rejects ids that
+    are not non-negative ints and rhs items that are neither a
+    :class:`Terminal` nor a :class:`RuleRef` of an int, so that invalid
+    grammars can still be represented and reported on.
     """
 
     rhs: dict[int, tuple[Symbol, ...]]
@@ -107,15 +107,20 @@ class Grammar:
 
     def __init__(self, rhs: Mapping[int, Iterable[Symbol]]) -> None:
         """Take ``{id: rhs}`` in any id order, with any iterable rhs."""
+        for i in rhs:
+            if isinstance(i, bool) or not isinstance(i, int):
+                raise TypeError(f"rule id must be an int, got {i!r}")
         ids = sorted(rhs)
         if ids and ids[0] < 0:
             raise ValueError(f"rule id must be non-negative, got {ids[0]}")
         rules = {i: tuple(rhs[i]) for i in ids}
         for i, items in rules.items():
             for sym in items:
-                if not isinstance(sym, (Terminal, RuleRef)):
-                    raise TypeError(f"rule p{i} holds {sym!r}, "
-                                    f"neither a Terminal nor a RuleRef")
+                x = (sym.value if isinstance(sym, Terminal) else
+                     sym.rule_id if isinstance(sym, RuleRef) else None)
+                if isinstance(x, bool) or not isinstance(x, int):
+                    raise TypeError(f"rule p{i} holds {sym!r}, neither a "
+                                    f"Terminal nor a RuleRef of an int")
         self.__dict__.update(rhs=rules, _applicable={})
 
     @classmethod

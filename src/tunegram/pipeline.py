@@ -42,6 +42,9 @@ class StepFailedError(TunegramError):
         self.step = step
         self.reason = reason
 
+    def __reduce__(self):  # pickle rebuilds it in a parent process
+        return type(self), (self.step, self.reason)
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -114,10 +117,10 @@ def run(
 def run_per_kind(t: Sequence[int], seed: int) -> dict[MutationKind, int]:
     """Apply each kind once, independently, to induce(t).
 
-    Returns kind -> ED(mutated tune, t); kinds that are inapplicable to
-    this tune's grammar are simply absent.  Each kind gets its own
-    derived seed, ``derive_seed(seed, kind)``: the tune's one
-    RandomSource is reseeded with it before the kind draws, so
+    Returns kind -> ED(mutated tune, t) in kind order; kinds that are
+    inapplicable to this tune's grammar are simply absent.  Each kind
+    gets its own derived seed, ``derive_seed(seed, kind)``: the tune's
+    one RandomSource is reseeded with it before the kind draws, so
     measurements do not influence one another.  ``seed`` must fit in
     64 unsigned bits.
     """

@@ -6,7 +6,10 @@ digram uniqueness (no adjacent pair occurs twice, overlapping pairs of
 equal symbols excepted) and rule utility (every rule other than the
 root is used at least twice).  Repeated digrams become rules, rules
 whose use count drops to one are inlined again.  As in the reference
-implementation, each rule carries only a count of its uses.
+implementation, each rule carries only a count of its uses, and only
+the first symbol of a rule just made or reused is tested for a single
+use (README gives the counts behind this).  ``induce`` runs on two
+closures that call each other, ``match`` and ``substitute``.
 
 The working representation is int-coded, with dense symbol codes.  The
 tune's distinct notes are coded ``0 .. base - 1`` in order of first
@@ -111,7 +114,7 @@ def induce(tune: Sequence[int]) -> Grammar:
             # The recorded occurrence is the entire rhs of a rule:
             # reuse that rule instead of making a nested copy.
             substitute(new_first, val[old_prev])
-            use_a, use_b = old_first, old_second
+            use = old_first
         else:
             rule = len(guards)
             g = len(val)  # the new rule's guard, then its two nodes
@@ -132,15 +135,30 @@ def induce(tune: Sequence[int]) -> Grammar:
             # this occurrence too, by a use of the same rule.
             if state[new_first] and val[new_first] == a:
                 substitute(new_first, rule)
-            use_a, use_b = g + 1, g + 2
-        # Rule utility: folding both occurrences may have left a
-        # sub-rule with a single remaining use; inline it.  That use is
-        # in the body holding the digram, which a cascade reuses whole
-        # and leaves alone.  An inlined rule's count stays 0.
+            use = g + 1
+        # Rule utility: folding both occurrences may have left the
+        # digram's first symbol with one use, ``use``; as in the reference
+        # implementation, the second is not tested.  ``use`` opens the
+        # two-symbol body, which a cascade reuses whole and leaves alone,
+        # so the node before it is the body's guard and the splice has a
+        # seam on the right only.  An inlined rule's count stays 0.
         if a >= base and uses[a] == 1:
-            inline(a, use_a)
-        if b >= base and uses[b] == 1:
-            inline(b, use_b)
+            first = nxt[guards[a]]
+            last = prv[guards[a]]
+            after = nxt[use]  # the body's second node, still b
+            if get(k := a * W + b) == use:
+                del index[k]
+            uses[a] = 0
+            state[use] = 0
+            guards[a] = None
+            # The spliced body keeps its digrams and their index entries.
+            prv[first] = prev = prv[use]
+            nxt[prev] = first
+            nxt[last] = after
+            prv[after] = last
+            found = setdefault(val[last] * W + b, last)  # the right seam
+            if found != last and nxt[found] != last and found != after:
+                match(last, found)
 
     def substitute(first: int, rule: int) -> None:
         """Turn ``first`` into a use of ``rule``, the digram it opens."""
@@ -192,38 +210,6 @@ def induce(tune: Sequence[int]) -> Grammar:
                 if found != after and nxt[found] != after and found != d:
                     match(after, found)
 
-    def inline(r: int, use: int) -> None:
-        """Splice single-use rule ``r`` back into its one use, ``use``."""
-        prev = prv[use]
-        after = nxt[use]
-        first = nxt[guards[r]]
-        last = prv[guards[r]]
-        p = val[prev]
-        if state[prev] != 2 and get(k := p * W + r) == prev:
-            del index[k]
-        if state[after] != 2 and get(k := r * W + val[after]) == use:
-            del index[k]
-        uses[r] = 0
-        state[use] = 0
-        guards[r] = None
-        # The rule body keeps its internal digrams (and their index
-        # entries stay valid, the nodes just change neighbours).
-        nxt[prev] = first
-        prv[first] = prev
-        nxt[last] = after
-        prv[after] = last
-        # The seam checks of substitute; the body's ends are symbols.
-        left = False
-        if state[prev] == 1:
-            found = setdefault(p * W + val[first], prev)
-            left = found != prev and nxt[found] != prev and found != first
-            if left:
-                match(prev, found)
-        if not left and state[after] == 1:
-            found = setdefault(val[last] * W + val[after], last)
-            if found != last and nxt[found] != last and found != after:
-                match(last, found)
-
     # The first note opens the root; from then on the root never
     # empties, so the node before the root's guard is always a symbol.
     nxt[0] = prv[0] = 1
@@ -238,10 +224,10 @@ def induce(tune: Sequence[int]) -> Grammar:
             if found != last and nxt[found] != last:
                 match(last, found)
     finally:
-        # The three functions reach each other through their closures;
+        # The two functions reach each other through their closures;
         # without this the cycle keeps every list alive until a full
         # garbage collection.
-        del match, substitute, inline
+        del match, substitute
     # The digram index is as large as the tune: free it before the
     # grammar is built, which lowers the peak by a sixth to a quarter.
     del index, setdefault, get, prv

@@ -2,6 +2,7 @@
 fresh interpreter."""
 
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -10,9 +11,10 @@ import pytest
 
 import tunegram
 from tunegram.cli import TRAJECTORY_HEADER, main
-from tunegram.corpus import write_tune
+from tunegram.corpus import CorpusFormatError, write_tune
 from tunegram.metrics import ACTIVE_BACKEND
 from tunegram.mutation import MAX_ATTEMPTS
+from tunegram.pipeline import StepFailedError
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -218,6 +220,36 @@ def test_per_kind_identical_across_workers(corpus_dir, tmp_path, capsys):
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
     capsys.readouterr()
+
+
+def test_a_failed_step_reports_alike_across_workers(tmp_path, capsys):
+    # Tunes of distinct notes induce to a root alone, to which kind 19,
+    # the only one left in the draw, never applies.  A pooled run used
+    # to end in a BrokenProcessPool traceback: pickle could not rebuild
+    # the worker's StepFailedError in this process.
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    write_tune((60, 62, 64, 65), corpus / "a.txt")
+    write_tune((67, 69, 71), corpus / "b.txt")
+    errs = []
+    for workers in ("1", "2"):
+        assert main(["experiment", "trajectories", "--corpus", str(corpus),
+                     "--steps", "3", "--exclude",
+                     ",".join(map(str, range(1, 19))),
+                     "--out", str(tmp_path / "traj.csv"),
+                     "--workers", workers]) == 1
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1] == ("error: step 1 failed: no non-excluded "
+                                  "mutation kind applies to this grammar\n")
+
+
+def test_errors_round_trip_through_pickle():
+    step = pickle.loads(pickle.dumps(StepFailedError(3, ValueError("no"))))
+    assert (str(step), step.step, type(step.reason), str(step.reason)) == (
+        "step 3 failed: no", 3, ValueError, "no")
+    fmt = pickle.loads(pickle.dumps(CorpusFormatError("t.txt", 2, 5, "bad")))
+    assert (str(fmt), fmt.path, fmt.line, fmt.column, fmt.message) == (
+        "t.txt:2:5: bad", "t.txt", 2, 5, "bad")
 
 
 def test_pool_is_no_larger_than_the_job_list(corpus_dir, tmp_path, capsys,

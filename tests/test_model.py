@@ -74,12 +74,20 @@ def test_format_symbol():
 def test_rule_rejects_negative_id():
     with pytest.raises(ValueError):
         Grammar({-1: (Terminal(0),)})
+    # Nor may an id be anything but an int: render_grammar would write
+    # p1.0 or pTrue, which parse_grammar rejects.
+    for rule_id in (1.0, True, "1"):
+        with pytest.raises(TypeError, match="rule id must be an int"):
+            Grammar({0: (RuleRef(1), RuleRef(1)), rule_id: (Terminal(0),)})
 
 
-@pytest.mark.parametrize("item", [1, "p1", None, (1,)])
+@pytest.mark.parametrize("item", [1, "p1", None, (1,), Terminal(1.5),
+                                  Terminal(True), RuleRef(1.0), RuleRef(True)])
 def test_grammar_rejects_items_that_are_not_symbols(item):
     # A bare int used to pass validation and then crash expand and
-    # render_grammar with an AttributeError.
+    # render_grammar with an AttributeError.  A Terminal or RuleRef of a
+    # float or a bool passed too, and rendered to text that
+    # parse_grammar rejects.
     with pytest.raises(TypeError, match=r"rule p2 holds "):
         Grammar({0: [RuleRef(2), RuleRef(2)], 2: [Terminal(1), item]})
 
