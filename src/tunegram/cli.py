@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
+from functools import partial
 from os.path import isdir
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from . import __version__
 from .corpus import load_corpus, write_tune
@@ -52,13 +54,6 @@ def _load_tune(path: str) -> Tune:
     return tunes[0].tune
 
 
-def _write_csv(path: str, header: str, rows: Iterable[Sequence[object]]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(str(v) for v in row) + "\n")
-
-
 # --- single-tune commands -------------------------------------------------
 
 def _cmd_parse(args: argparse.Namespace) -> int:
@@ -77,11 +72,10 @@ def _cmd_pai(args: argparse.Namespace) -> int:
 
 
 def _cmd_mutate(args: argparse.Namespace) -> int:
-    t = _load_tune(args.tune_file)
     cfg = RunConfig(steps=args.steps, seed=args.seed,
                     excluded=_parse_excluded(args.exclude))
     kind = MutationKind.parse(args.kind) if args.kind is not None else None
-    result = run(t, cfg, kind=kind)
+    result = run(_load_tune(args.tune_file), cfg, kind=kind)
     print(TRAJECTORY_HEADER)
     for r in result.trajectory:
         print(",".join(map(str, _trajectory_row(r))))
@@ -109,12 +103,15 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
 # --- corpus experiments ---------------------------------------------------
 #
-# Worker functions take one picklable tuple and return plain values so
-# they can cross a process boundary.  Results come back via pool.map,
-# which preserves submission order, so the CSV is written in corpus
-# order no matter how many workers ran.  The pool is never larger than
-# the job list: with the fork start method every worker process is
-# started on the first submit, whether or not it gets a job.
+# Every experiment runs through _experiment: its settings are checked
+# before the corpus is read, and each tune's job gets its own seed,
+# derive_seed(seed, i) for the tune at corpus index i, so rows never
+# depend on scheduling.  Job functions take one picklable argument and
+# return plain rows so they can cross a process boundary.  pool.map
+# preserves submission order, so the CSV is written in corpus order no
+# matter how many workers ran.  The pool is never larger than the job
+# list: with the fork start method every worker process is started on
+# the first submit, whether or not it gets a job.
 
 def _map_jobs(fn: Callable, jobs: list, workers: int) -> list:
     if workers <= 1 or len(jobs) <= 1:
@@ -125,58 +122,55 @@ def _map_jobs(fn: Callable, jobs: list, workers: int) -> list:
         return list(pool.map(fn, jobs))
 
 
+def _experiment(args: argparse.Namespace, header: str, job: Callable,
+                per_tune: Callable[[int], object] | None = None) -> int:
+    """Write ``header``, then the rows of ``job`` for each tune of
+    ``--corpus`` in corpus order, each row after the tune's id.  ``job``
+    takes the tune, or the pair (tune, ``per_tune(i)``): the checked
+    setting of the tune at corpus index ``i``, with its own seed."""
+    tunes = load_corpus(args.corpus)
+    jobs = [ct.tune if per_tune is None else (ct.tune, per_tune(i))
+            for i, ct in enumerate(tunes)]
+    results = _map_jobs(job, jobs, args.workers)
+    with open(args.out, "w", encoding="utf-8", newline="") as fh:
+        fh.write(header + "\n")
+        for ct, rows in zip(tunes, results):
+            for row in rows:
+                fh.write(",".join(map(str, (ct.id, *row))) + "\n")
+    return 0
+
+
 def _per_kind_job(job: tuple[Tune, int]) -> list[tuple[int, int]]:
     notes, seed = job
-    by_kind = run_per_kind(tuple(notes), seed)
-    return [(int(k), ed) for k, ed in by_kind.items()]
+    return [(int(k), ed) for k, ed in run_per_kind(notes, seed).items()]
 
 
 def _cmd_per_kind(args: argparse.Namespace) -> int:
     # derive_seed folds its parts modulo 2**64: without this check,
     # --seed -1 would write the CSV of --seed 2**64 - 1.
-    check_seed(args.seed)
-    tunes = load_corpus(args.corpus)
-    jobs = [(ct.tune, derive_seed(args.seed, i)) for i, ct in enumerate(tunes)]
-    results = _map_jobs(_per_kind_job, jobs, args.workers)
-    rows = [(ct.id, kind, ed)
-            for ct, pairs in zip(tunes, results)
-            for kind, ed in pairs]
-    _write_csv(args.out, "tune_id,kind,ed", rows)
-    return 0
+    seed = check_seed(args.seed)
+    return _experiment(args, "tune_id,kind,ed", _per_kind_job,
+                       partial(derive_seed, seed))
 
 
-def _trajectory_job(job: tuple[Tune, int, int, tuple[int, ...]]) -> list[tuple]:
-    notes, steps, seed, excluded = job
-    cfg = RunConfig(steps=steps, seed=seed, excluded=excluded)
-    result = run(tuple(notes), cfg)
-    return [_trajectory_row(r) for r in result.trajectory]
+def _trajectory_job(job: tuple[Tune, RunConfig]) -> list[tuple[int, ...]]:
+    notes, cfg = job
+    return [_trajectory_row(r) for r in run(notes, cfg).trajectory]
 
 
 def _cmd_trajectories(args: argparse.Namespace) -> int:
-    check_seed(args.seed)  # as in _cmd_per_kind
-    tunes = load_corpus(args.corpus)
-    excluded = tuple(sorted(int(k) for k in _parse_excluded(args.exclude)))
-    jobs = [(ct.tune, args.steps, derive_seed(args.seed, i), excluded)
-            for i, ct in enumerate(tunes)]
-    results = _map_jobs(_trajectory_job, jobs, args.workers)
-    rows = [(ct.id, *step_row)
-            for ct, steps in zip(tunes, results)
-            for step_row in steps]
-    _write_csv(args.out, "tune_id," + TRAJECTORY_HEADER, rows)
-    return 0
+    cfg = RunConfig(steps=args.steps, seed=args.seed,
+                    excluded=_parse_excluded(args.exclude))
+    return _experiment(args, "tune_id," + TRAJECTORY_HEADER, _trajectory_job,
+                       lambda i: replace(cfg, seed=derive_seed(cfg.seed, i)))
 
 
-def _encoding_job(notes: Tune) -> tuple[int, int]:
-    t = tuple(notes)
-    return pai(induce(t)), pai(induce(to_intervals(t)))
+def _encoding_job(notes: Tune) -> list[tuple[int, int]]:
+    return [(pai(induce(notes)), pai(induce(to_intervals(notes))))]
 
 
 def _cmd_encoding(args: argparse.Namespace) -> int:
-    tunes = load_corpus(args.corpus)
-    results = _map_jobs(_encoding_job, [ct.tune for ct in tunes], args.workers)
-    rows = [(ct.id, p, q) for ct, (p, q) in zip(tunes, results)]
-    _write_csv(args.out, "tune_id,pai_pitch,pai_interval", rows)
-    return 0
+    return _experiment(args, "tune_id,pai_pitch,pai_interval", _encoding_job)
 
 
 # --- parser ---------------------------------------------------------------
@@ -225,30 +219,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     exp = sub.add_parser("experiment", help="corpus-level experiments")
     esub = exp.add_subparsers(dest="experiment", required=True)
+    corpus_run = argparse.ArgumentParser(add_help=False)
+    corpus_run.add_argument("--corpus", required=True)
+    corpus_run.add_argument("--out", required=True)
+    corpus_run.add_argument("--workers", type=int, default=1)
 
-    p = esub.add_parser("per-kind",
+    p = esub.add_parser("per-kind", parents=[corpus_run],
                         help="one mutation of each kind per tune")
-    p.add_argument("--corpus", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=_cmd_per_kind)
 
-    p = esub.add_parser("trajectories",
+    p = esub.add_parser("trajectories", parents=[corpus_run],
                         help="multi-step mutation runs per tune")
-    p.add_argument("--corpus", required=True)
     p.add_argument("--steps", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--exclude", **exclude)
-    p.add_argument("--out", required=True)
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=_cmd_trajectories)
 
-    p = esub.add_parser("encoding",
+    p = esub.add_parser("encoding", parents=[corpus_run],
                         help="PAI of pitch vs interval encodings")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=_cmd_encoding)
 
     return parser
@@ -261,7 +250,3 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (TunegramError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -99,8 +99,11 @@ class NoApplicableMutationError(TunegramError):
 
 
 def check_seed(seed: int) -> int:
-    """``seed`` itself if it fits in 64 unsigned bits, else ValueError:
-    the one range check of every seed a caller passes in."""
+    """``seed`` itself if it is an int (TypeError, also for a bool) that
+    fits in 64 unsigned bits (else ValueError): the one check of every
+    seed a caller passes in."""
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise TypeError(f"seed must be an int, got {seed!r}")
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must fit in 64 unsigned bits, got {seed}")
     return seed

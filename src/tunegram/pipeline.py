@@ -57,6 +57,8 @@ class RunConfig:
     excluded: frozenset[MutationKind] = DEFAULT_EXCLUDED
 
     def __post_init__(self) -> None:
+        if isinstance(self.steps, bool) or not isinstance(self.steps, int):
+            raise TypeError(f"steps must be an int, got {self.steps!r}")
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
         check_seed(self.seed)
@@ -121,8 +123,8 @@ def run_per_kind(t: Sequence[int], seed: int) -> dict[MutationKind, int]:
     inapplicable to this tune's grammar are simply absent.  Each kind
     gets its own derived seed, ``derive_seed(seed, kind)``: the tune's
     one RandomSource is reseeded with it before the kind draws, so
-    measurements do not influence one another.  ``seed`` must fit in
-    64 unsigned bits.
+    measurements do not influence one another.  ``seed`` must be an
+    int that fits in 64 unsigned bits.
     """
     rng = RandomSource(seed)  # checks the seed; no kind draws from it
     original = tuple(t)

@@ -35,25 +35,15 @@ from tunegram.mutation import (
 )
 from tunegram.pipeline import RunConfig, run
 from tunegram.sequitur import expand, induce, pai, to_intervals
-
-ABRACADABRA = (0, 1, 2, 0, 3, 0, 4, 0, 1, 2, 0)
-
-PITCH16 = (2, 11, 7, 4, 4, 7, 4, 4, 2, 11, 7, 4, 4, 7, 4, 4)
+from tunes import (
+    ABRACADABRA,
+    HORNPIPE,
+    HORNPIPE_GRAMMAR,
+    HORNPIPE_SWAPPED,
+    PITCH16,
+)
 
 INTERVAL16 = (0, 9, -4, -3, 0, 3, -3, 0, -2, 9, -4, -3, 0, 3, -3, 0)
-
-HORNPIPE = (2, 11, 7, 4, 4, 7, 4, 4, 7, 11, 2, 1, 2, 9, 6, 2, 2, 6, 2, 2,
-            6, 9, 2, 1, 2, 11, 7, 4, 4, 7, 4, 4, 7, 11, 2, 4, 6, 2, 11, 9,
-            6, 2, 4, 6, 4, 4)
-
-HORNPIPE_GRAMMAR = (
-    "p0 -> 2 p1 p2 9 p3 p3 6 9 p2 p1 2 4 p4 11 9 p4 4 6 p5; "
-    "p1 -> 11 p6 p6 7 11; p2 -> 2 1 2; p3 -> p4 2; p4 -> 6 2; "
-    "p5 -> 4 4; p6 -> 7 p5")
-
-HORNPIPE_SWAPPED = (2, 11, 7, 2, 1, 2, 7, 2, 1, 2, 7, 11, 4, 4, 9, 6, 2, 2,
-                    6, 2, 2, 6, 9, 4, 4, 11, 7, 2, 1, 2, 7, 2, 1, 2, 7, 11,
-                    2, 4, 6, 2, 11, 9, 6, 2, 4, 6, 2, 1, 2)
 
 
 def best_time(fn, repeats=5):

@@ -15,10 +15,9 @@ from tunegram.corpus import CorpusFormatError, write_tune
 from tunegram.metrics import ACTIVE_BACKEND
 from tunegram.mutation import MAX_ATTEMPTS
 from tunegram.pipeline import StepFailedError
+from tunes import PITCH16
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
-
-PITCH16 = (2, 11, 7, 4, 4, 7, 4, 4, 2, 11, 7, 4, 4, 7, 4, 4)
 
 
 @pytest.fixture
@@ -198,28 +197,37 @@ def test_experiments_refuse_seeds_outside_64_bits(corpus_dir, tmp_path, capsys,
     assert "seed must fit in 64 unsigned bits" in capsys.readouterr().err
 
 
-def test_trajectories_identical_across_workers(corpus_dir, tmp_path, capsys):
+@pytest.mark.parametrize("experiment", [
+    ["per-kind", "--seed", "4"],
+    ["trajectories", "--steps", "5", "--seed", "9"],
+    ["encoding"],
+], ids=["per-kind", "trajectories", "encoding"])
+def test_experiments_identical_across_workers(corpus_dir, tmp_path, capsys,
+                                              experiment):
     outs = []
     for workers in ("1", "2"):
-        out = tmp_path / f"traj_w{workers}.csv"
-        assert main(["experiment", "trajectories", "--corpus", corpus_dir,
-                     "--steps", "5", "--seed", "9", "--out", str(out),
-                     "--workers", workers]) == 0
+        out = tmp_path / f"w{workers}.csv"
+        assert main(["experiment", *experiment, "--corpus", corpus_dir,
+                     "--out", str(out), "--workers", workers]) == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
     capsys.readouterr()
 
 
-def test_per_kind_identical_across_workers(corpus_dir, tmp_path, capsys):
-    outs = []
-    for workers in ("1", "2"):
-        out = tmp_path / f"pk_w{workers}.csv"
-        assert main(["experiment", "per-kind", "--corpus", corpus_dir,
-                     "--seed", "4", "--out", str(out),
-                     "--workers", workers]) == 0
-        outs.append(out.read_bytes())
-    assert outs[0] == outs[1]
-    capsys.readouterr()
+@pytest.mark.parametrize("setting, message", [
+    (["--steps", "0"], "error: steps must be >= 1, got 0\n"),
+    (["--exclude", ",".join(map(str, range(1, 20)))],
+     "error: cannot exclude every mutation kind\n"),
+], ids=["steps", "exclude"])
+def test_trajectories_checks_its_settings_before_the_corpus(tmp_path, capsys,
+                                                           setting, message):
+    # The corpus path does not exist either: the settings' error wins.
+    out = tmp_path / "traj.csv"
+    assert main(["experiment", "trajectories", "--corpus",
+                 str(tmp_path / "no-such-corpus"), *setting,
+                 "--out", str(out)]) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err == message
 
 
 def test_a_failed_step_reports_alike_across_workers(tmp_path, capsys):

@@ -37,10 +37,7 @@ from tunegram.mutation import (
 )
 from tunegram.pipeline import RunConfig, run
 from tunegram.sequitur import expand, induce
-
-HORNPIPE = (2, 11, 7, 4, 4, 7, 4, 4, 7, 11, 2, 1, 2, 9, 6, 2, 2, 6, 2, 2,
-            6, 9, 2, 1, 2, 11, 7, 4, 4, 7, 4, 4, 7, 11, 2, 4, 6, 2, 11, 9,
-            6, 2, 4, 6, 4, 4)
+from tunes import HORNPIPE
 
 
 def alpha(g):
@@ -140,10 +137,11 @@ def test_random_source_seed_range():
     RandomSource(2**64 - 1)
     r.reseed(2**64 - 1)
     r.reseed(0)
-    for bad in (-1, 2**64):
-        with pytest.raises(ValueError, match="64 unsigned bits"):
+    for bad, error in ((-1, ValueError), (2**64, ValueError),
+                       (1.5, TypeError), (True, TypeError)):
+        with pytest.raises(error, match="64 unsigned bits|must be an int"):
             RandomSource(bad)
-        with pytest.raises(ValueError, match="64 unsigned bits"):
+        with pytest.raises(error, match="64 unsigned bits|must be an int"):
             r.reseed(bad)
     assert r.seed == 0  # a refused seed leaves the source as it was
 

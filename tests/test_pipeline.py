@@ -29,14 +29,7 @@ from tunegram.pipeline import (
     run_per_kind,
 )
 from tunegram.sequitur import expand, expand_rule, induce
-
-HORNPIPE = (2, 11, 7, 4, 4, 7, 4, 4, 7, 11, 2, 1, 2, 9, 6, 2, 2, 6, 2, 2,
-            6, 9, 2, 1, 2, 11, 7, 4, 4, 7, 4, 4, 7, 11, 2, 4, 6, 2, 11, 9,
-            6, 2, 4, 6, 4, 4)
-
-HORNPIPE_SWAPPED = (2, 11, 7, 2, 1, 2, 7, 2, 1, 2, 7, 11, 4, 4, 9, 6, 2, 2,
-                    6, 2, 2, 6, 9, 4, 4, 11, 7, 2, 1, 2, 7, 2, 1, 2, 7, 11,
-                    2, 4, 6, 2, 11, 9, 6, 2, 4, 6, 2, 1, 2)
+from tunes import HORNPIPE, HORNPIPE_SWAPPED
 
 
 # ---------------------------------------------------------------------------
@@ -54,15 +47,24 @@ def test_config_normalizes_int_kinds():
                                       MutationKind.ADD_RULE})
 
 
-@pytest.mark.parametrize("kwargs", [
-    dict(steps=0, seed=0),
-    dict(steps=-3, seed=0),
-    dict(steps=1, seed=-1),
-    dict(steps=1, seed=2**64),
-    dict(steps=1, seed=0, excluded=frozenset(MutationKind)),
-])
-def test_config_rejects_bad_values(kwargs):
-    with pytest.raises(ValueError):
+BAD_CONFIGS = [
+    (dict(steps=0, seed=0), ValueError),
+    (dict(steps=-3, seed=0), ValueError),
+    (dict(steps=1, seed=-1), ValueError),
+    (dict(steps=1, seed=2**64), ValueError),
+    (dict(steps=1, seed=0, excluded=frozenset(MutationKind)), ValueError),
+    (dict(steps=2.5, seed=0), TypeError),
+    (dict(steps=True, seed=0), TypeError),
+    (dict(steps=1, seed=1.5), TypeError),
+    (dict(steps=1, seed=True), TypeError),
+]
+
+
+# Cases are named by their place in the list.
+@pytest.mark.parametrize("kwargs, error", BAD_CONFIGS,
+                         ids=[f"kwargs{i}" for i in range(len(BAD_CONFIGS))])
+def test_config_rejects_bad_values(kwargs, error):
+    with pytest.raises(error):
         RunConfig(**kwargs)
 
 
@@ -255,10 +257,16 @@ def test_per_kind_analyses_each_grammar_once(monkeypatch):
     assert len(calls["occurrences"]) == 1
 
 
-@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 3])
-def test_per_kind_rejects_seeds_outside_64_bits(seed):
-    # derive_seed would fold them onto seeds in range: -1 onto 2**64 - 1
-    with pytest.raises(ValueError, match="64 unsigned bits"):
+BAD_SEEDS = [(-1, ValueError), (2**64, ValueError), (2**64 + 3, ValueError),
+             (1.5, TypeError), (True, TypeError)]
+
+
+@pytest.mark.parametrize("seed, error", BAD_SEEDS,
+                         ids=[str(seed) for seed, _ in BAD_SEEDS])
+def test_per_kind_rejects_seeds_outside_64_bits(seed, error):
+    # derive_seed would fold them onto seeds in range: -1 onto 2**64 - 1,
+    # and truncate 1.5 and True to 1
+    with pytest.raises(error, match="64 unsigned bits|must be an int"):
         run_per_kind(HORNPIPE, seed)
 
 
