@@ -128,6 +128,8 @@ def _experiment(args: argparse.Namespace, header: str, job: Callable,
     ``--corpus`` in corpus order, each row after the tune's id.  ``job``
     takes the tune, or the pair (tune, ``per_tune(i)``): the checked
     setting of the tune at corpus index ``i``, with its own seed."""
+    if args.workers < 1:
+        raise ValueError(f"--workers must be >= 1, got {args.workers}")
     tunes = load_corpus(args.corpus)
     jobs = [ct.tune if per_tune is None else (ct.tune, per_tune(i))
             for i, ct in enumerate(tunes)]
@@ -146,8 +148,8 @@ def _per_kind_job(job: tuple[Tune, int]) -> list[tuple[int, int]]:
 
 
 def _cmd_per_kind(args: argparse.Namespace) -> int:
-    # derive_seed folds its parts modulo 2**64: without this check,
-    # --seed -1 would write the CSV of --seed 2**64 - 1.
+    # Checked here, before the corpus is read; derive_seed would refuse
+    # a bad seed only once the jobs are built.
     seed = check_seed(args.seed)
     return _experiment(args, "tune_id,kind,ed", _per_kind_job,
                        partial(derive_seed, seed))

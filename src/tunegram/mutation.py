@@ -50,10 +50,10 @@ and shared.
 
 from __future__ import annotations
 
-import random
 import struct
 from bisect import bisect_left
 from _blake2 import blake2b  # hashlib's own; importing hashlib loads OpenSSL
+from _random import Random as _MT19937  # random.Random's C core
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -112,40 +112,59 @@ def check_seed(seed: int) -> int:
 class RandomSource:
     """A deterministic random stream with a 64-bit unsigned seed.
 
-    Backed by CPython's ``random.Random`` (the Mersenne Twister
-    MT19937, with a documented seeding procedure), so an identical seed
-    and call sequence give identical outputs on every platform.
-    :meth:`reseed` restarts the stream in place, exactly as a new
-    source of that seed would start.  A source is single-owner: never
-    share one between concurrent runs; derive per-run seeds with
-    :func:`derive_seed` instead.
+    It holds the Mersenne Twister MT19937 core of CPython's
+    ``random.Random`` (its C class, with the same documented seeding)
+    and draws as ``random.Random`` does: :meth:`below` is its
+    ``getrandbits`` rejection loop, so :meth:`below`, :meth:`between`
+    and :meth:`choose` give ``randrange``, ``randint`` and ``choice``
+    of ``random.Random(seed)``, on every platform.  :meth:`reseed`
+    restarts the stream in place, exactly as a new source of that seed
+    would start.  A source is single-owner: never share one between
+    concurrent runs; derive per-run seeds with :func:`derive_seed`
+    instead.
     """
 
-    __slots__ = ("seed", "_rng")
+    __slots__ = ("seed", "_mt", "_bits")
 
     def __init__(self, seed: int) -> None:
         self.seed = check_seed(seed)
-        self._rng = random.Random(seed)
+        self._mt = _MT19937(seed)
+        self._bits = self._mt.getrandbits
 
     def reseed(self, seed: int) -> None:
         """Restart as ``RandomSource(seed)``, without building a new
         generator (cheaper than a new source)."""
         self.seed = check_seed(seed)
-        self._rng.seed(seed)
+        self._mt.seed(seed)
 
     def below(self, n: int) -> int:
-        """Uniform integer in [0, n)."""
+        """Uniform integer in [0, n): draws of ``n.bit_length()`` bits
+        until one is below ``n``."""
+        k = int.bit_length(n)  # TypeError for a bound that is not an int
         if n <= 0:
             raise ValueError(f"need a positive bound, got {n}")
-        return self._rng.randrange(n)
+        bits = self._bits
+        r = bits(k)
+        while r >= n:
+            r = bits(k)
+        return r
 
     def between(self, lo: int, hi: int) -> int:
         """Uniform integer in [lo, hi], both ends included."""
-        return self._rng.randint(lo, hi)
+        return lo + self.below(hi - lo + 1)
 
     def choose(self, items: Sequence):
         """Uniform element of a non-empty sequence."""
         return items[self.below(len(items))]
+
+
+_U64 = struct.Struct(">Q").pack
+
+
+def _seed_part(part: int) -> bytes:
+    """The bytes ``derive_seed`` hashes for one part: its 8 big-endian
+    bytes, after :func:`check_seed`."""
+    return _U64(check_seed(part))
 
 
 def derive_seed(*parts: int) -> int:
@@ -154,12 +173,26 @@ def derive_seed(*parts: int) -> int:
     Used to give every (tune, run, kind) its own RandomSource so corpus
     results do not depend on scheduling or worker count.  blake2b keeps
     the streams well separated; Python's hash() would not be stable
-    across processes.
+    across processes.  Each part must be a seed itself (see
+    :func:`check_seed`), so no two part tuples share their bytes.
     """
     h = blake2b(digest_size=8)
     for part in parts:
-        h.update(struct.pack(">Q", int(part) & 0xFFFFFFFFFFFFFFFF))
+        h.update(_seed_part(part))
     return int.from_bytes(h.digest(), "big")
+
+
+def _derive_seeds(seed: int, parts: Iterable[int]) -> list[int]:
+    """``[derive_seed(seed, part) for part in parts]``, with ``seed``
+    hashed once: each part goes into a copy of that hash state."""
+    stem = blake2b(digest_size=8)
+    stem.update(_seed_part(seed))
+    out = []
+    for part in parts:
+        h = stem.copy()
+        h.update(_seed_part(part))
+        out.append(int.from_bytes(h.digest(), "big"))
+    return out
 
 
 @dataclass(frozen=True)

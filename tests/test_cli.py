@@ -188,8 +188,7 @@ def test_trajectories_csv(corpus_dir, tmp_path, capsys):
     "-1", "18446744073709551616", "18446744073709551619"])
 def test_experiments_refuse_seeds_outside_64_bits(corpus_dir, tmp_path, capsys,
                                                   experiment, seed):
-    # derive_seed folds seeds modulo 2**64, so without the check -1 would
-    # write the CSV of 2**64 - 1, and 2**64 + 3 that of 3.
+    # Refused before the corpus is read or any CSV written.
     out = tmp_path / "out.csv"
     assert main(["experiment", *experiment, "--corpus", corpus_dir,
                  "--seed", seed, "--out", str(out)]) == 1
@@ -228,6 +227,24 @@ def test_trajectories_checks_its_settings_before_the_corpus(tmp_path, capsys,
                  "--out", str(out)]) == 1
     assert not out.exists()
     assert capsys.readouterr().err == message
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+@pytest.mark.parametrize("experiment", [
+    ["per-kind"],
+    ["trajectories", "--steps", "1"],
+    ["encoding"],
+], ids=["per-kind", "trajectories", "encoding"])
+def test_experiments_refuse_fewer_than_one_worker(tmp_path, capsys,
+                                                  experiment, workers):
+    # The corpus path does not exist either: the worker count's error wins.
+    out = tmp_path / "out.csv"
+    assert main(["experiment", *experiment, "--corpus",
+                 str(tmp_path / "no-such-corpus"), "--out", str(out),
+                 "--workers", workers]) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err == \
+        f"error: --workers must be >= 1, got {workers}\n"
 
 
 def test_a_failed_step_reports_alike_across_workers(tmp_path, capsys):

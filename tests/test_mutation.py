@@ -5,6 +5,7 @@ import itertools
 import pickle
 import random
 import struct
+import sys
 import time
 import tracemalloc
 
@@ -128,8 +129,10 @@ def test_random_source_bounds():
     assert all(0 <= r.below(7) < 7 for _ in range(200))
     assert all(3 <= r.between(3, 5) <= 5 for _ in range(200))
     assert r.below(1) == 0
-    with pytest.raises(ValueError):
-        r.below(0)
+    for empty in (lambda: r.below(0), lambda: r.below(-5),
+                  lambda: r.between(5, 4), lambda: r.choose(())):
+        with pytest.raises(ValueError, match="positive bound"):
+            empty()
 
 
 def test_random_source_seed_range():
@@ -159,6 +162,46 @@ def test_reseed_restarts_the_stream_as_a_new_source():
         assert draws(r) == draws(RandomSource(s))
 
 
+PIN_SEEDS = [0, 1, 1234, 2**63, 2**64 - 1]
+PIN_BOUNDS = sorted({1, 2, 3, 7} | {n for k in range(71)
+                                   for n in (2**k - 1, 2**k, 2**k + 1) if n})
+
+
+@pytest.mark.parametrize("seed", PIN_SEEDS)
+def test_streams_are_random_Random_draws(seed):
+    # below, between and choose draw what random.Random's randrange,
+    # randint and choice draw from the same seed, interleaved, before
+    # and after a reseed half way through the bounds.
+    def draws(src, ref, bounds):
+        for n in bounds:
+            assert src.below(n) == ref.randrange(n), n
+            lo, hi = -(n // 3), n - 1 - n // 3
+            assert src.between(lo, hi) == ref.randint(lo, hi), n
+            if n <= sys.maxsize:  # len() of a longer range overflows
+                assert src.choose(range(n)) == ref.choice(range(n)), n
+
+    half = len(PIN_BOUNDS) // 2
+    src, ref = RandomSource(seed), random.Random(seed)
+    draws(src, ref, PIN_BOUNDS[:half])
+    again = PIN_SEEDS[(PIN_SEEDS.index(seed) + 1) % len(PIN_SEEDS)]
+    src.reseed(again)
+    draws(src, random.Random(again), PIN_BOUNDS[half:] + PIN_BOUNDS[:half])
+
+
+def test_random_source_refuses_bounds_that_are_not_ints():
+    # random.Random raises ValueError or TypeError here, by Python
+    # version; a source raises TypeError on all of them.
+    r = RandomSource(0)
+    for call in (lambda: r.below(2.0), lambda: r.below(-1.5),
+                 lambda: r.below("3"), lambda: r.below(None),
+                 lambda: r.between(1, 2.5), lambda: r.between(1.0, 3)):
+        with pytest.raises(TypeError):
+            call()
+    fresh = RandomSource(0)  # a refused call drew nothing
+    assert [r.below(10) for _ in range(9)] == \
+        [fresh.below(10) for _ in range(9)]
+
+
 def test_random_source_choose():
     r = RandomSource(1234)
     picks = [r.choose("abcd") for _ in range(50)]
@@ -171,11 +214,26 @@ def test_derive_seed_frozen_values():
 
 
 def test_derive_seed_is_hashlib_blake2b():
-    for parts in [(), (0,), (789, 10, 2), (404, 0, 0, 18), (-1, 2**64 + 3)]:
+    for parts in [(), (0,), (789, 10, 2), (404, 0, 0, 18), (2**64 - 1, 3)]:
         h = hashlib.blake2b(digest_size=8)
         for part in parts:
-            h.update(struct.pack(">Q", part % 2**64))
+            h.update(struct.pack(">Q", part))
         assert derive_seed(*parts) == int.from_bytes(h.digest(), "big")
+
+
+BAD_PARTS = [((-1, 2**64 + 3), ValueError), ((-1, 0), ValueError),
+             ((2**64, 0), ValueError), ((0, 2**64 + 3), ValueError),
+             ((1.5, 0), TypeError), ((True, 0), TypeError),
+             ((0, 1.0), TypeError), ((0, False), TypeError)]
+
+
+@pytest.mark.parametrize("parts, error", BAD_PARTS,
+                         ids=[repr(parts) for parts, _ in BAD_PARTS])
+def test_derive_seed_refuses_parts_that_are_not_seeds(parts, error):
+    # Each part is checked as a seed, so no part shares its bytes with
+    # another: -1 with 2**64 - 1, or 1.5 and True with 1.
+    with pytest.raises(error, match="64 unsigned bits|must be an int"):
+        derive_seed(*parts)
 
 
 def test_derive_seed_is_order_sensitive_and_in_range():

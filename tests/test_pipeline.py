@@ -6,6 +6,7 @@ import pytest
 
 import tunegram.model as model_module
 import tunegram.mutation as mutation_module
+import tunegram.pipeline as pipeline_module
 from tunegram.model import (
     EmptyTuneError,
     Grammar,
@@ -18,6 +19,7 @@ from tunegram.mutation import (
     RandomSource,
     _fits,
     _outcome,
+    applicable,
     apply_mutation,
     derive_seed,
 )
@@ -29,7 +31,7 @@ from tunegram.pipeline import (
     run_per_kind,
 )
 from tunegram.sequitur import expand, expand_rule, induce
-from tunes import HORNPIPE, HORNPIPE_SWAPPED
+from tunes import ABRACADABRA, HORNPIPE, HORNPIPE_SWAPPED, PITCH16
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +259,42 @@ def test_per_kind_analyses_each_grammar_once(monkeypatch):
     assert len(calls["occurrences"]) == 1
 
 
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+@pytest.mark.parametrize("tune", [ABRACADABRA, PITCH16, HORNPIPE,
+                                  HORNPIPE_SWAPPED],
+                         ids=["abracadabra", "pitch16", "hornpipe",
+                              "hornpipe_swapped"])
+def test_per_kind_seeds_each_kind_with_derive_seed(monkeypatch, tune, seed):
+    # run_per_kind hashes the tune's seed once and reseeds one source;
+    # the reference builds a fresh source of derive_seed(seed, kind) for
+    # each applicable kind.  Both give the same kinds in the same order,
+    # and each applied kind is mutated, expanded and measured once.
+    g = induce(tune)
+    alphabet = NoteAlphabet.from_tune(tune)
+    reference = {}
+    for kind in MutationKind:
+        if applicable(g, kind):
+            rng = RandomSource(derive_seed(seed, int(kind)))
+            outcome = apply_mutation(g, kind, alphabet, rng)
+            reference[kind] = levenshtein(tune, expand(outcome.grammar))
+
+    calls = {"apply_mutation": 0, "expand": 0, "levenshtein": 0}
+
+    def counted(name):
+        fn = getattr(pipeline_module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(pipeline_module, name, counted(name))
+    out = run_per_kind(tune, seed)
+    assert list(out.items()) == list(reference.items())
+    assert calls == dict.fromkeys(calls, len(reference))
+
+
 BAD_SEEDS = [(-1, ValueError), (2**64, ValueError), (2**64 + 3, ValueError),
              (1.5, TypeError), (True, TypeError)]
 
@@ -264,8 +302,7 @@ BAD_SEEDS = [(-1, ValueError), (2**64, ValueError), (2**64 + 3, ValueError),
 @pytest.mark.parametrize("seed, error", BAD_SEEDS,
                          ids=[str(seed) for seed, _ in BAD_SEEDS])
 def test_per_kind_rejects_seeds_outside_64_bits(seed, error):
-    # derive_seed would fold them onto seeds in range: -1 onto 2**64 - 1,
-    # and truncate 1.5 and True to 1
+    # checked before the tune is induced or any kind's seed derived
     with pytest.raises(error, match="64 unsigned bits|must be an int"):
         run_per_kind(HORNPIPE, seed)
 
