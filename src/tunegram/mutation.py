@@ -131,6 +131,15 @@ class RandomSource:
         self._mt = _MT19937(seed)
         self._bits = self._mt.getrandbits
 
+    # The C generator cannot be pickled or copied; its state tuple can.
+    def __getstate__(self) -> tuple:
+        return self.seed, self._mt.getstate()
+
+    def __setstate__(self, state: tuple) -> None:
+        seed, mt_state = state
+        self.__init__(seed)
+        self._mt.setstate(mt_state)
+
     def reseed(self, seed: int) -> None:
         """Restart as ``RandomSource(seed)``, without building a new
         generator (cheaper than a new source)."""
@@ -158,15 +167,6 @@ class RandomSource:
         return items[self.below(len(items))]
 
 
-_U64 = struct.Struct(">Q").pack
-
-
-def _seed_part(part: int) -> bytes:
-    """The bytes ``derive_seed`` hashes for one part: its 8 big-endian
-    bytes, after :func:`check_seed`."""
-    return _U64(check_seed(part))
-
-
 def derive_seed(*parts: int) -> int:
     """Mix integer coordinates into an independent 64-bit seed.
 
@@ -178,21 +178,8 @@ def derive_seed(*parts: int) -> int:
     """
     h = blake2b(digest_size=8)
     for part in parts:
-        h.update(_seed_part(part))
+        h.update(struct.pack(">Q", check_seed(part)))
     return int.from_bytes(h.digest(), "big")
-
-
-def _derive_seeds(seed: int, parts: Iterable[int]) -> list[int]:
-    """``[derive_seed(seed, part) for part in parts]``, with ``seed``
-    hashed once: each part goes into a copy of that hash state."""
-    stem = blake2b(digest_size=8)
-    stem.update(_seed_part(seed))
-    out = []
-    for part in parts:
-        h = stem.copy()
-        h.update(_seed_part(part))
-        out.append(int.from_bytes(h.digest(), "big"))
-    return out
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Mutation operators: targets, applicability, randomness, long draws."""
 
+import copy
 import hashlib
 import itertools
 import pickle
@@ -160,6 +161,24 @@ def test_reseed_restarts_the_stream_as_a_new_source():
         r.reseed(s)
         assert r.seed == s
         assert draws(r) == draws(RandomSource(s))
+
+
+def test_a_copied_or_pickled_source_goes_on_with_the_stream():
+    # Copies are taken part of the way into the stream; each draws what
+    # the original draws from there on, and does not move it.
+    def draws(src):
+        return [src.below(1000), src.between(-5, 5), src.below(2**70),
+                src.choose(range(50))]
+
+    r = RandomSource(2**64 - 1)
+    draws(r)
+    copies = [pickle.loads(pickle.dumps(r, protocol))
+              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    copies += [copy.copy(r), copy.deepcopy(r)]
+    for c in copies:
+        assert type(c) is RandomSource and c.seed == r.seed
+    ahead = [draws(c) for c in copies]
+    assert ahead == [draws(r)] * len(copies)
 
 
 PIN_SEEDS = [0, 1, 1234, 2**63, 2**64 - 1]
