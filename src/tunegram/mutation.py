@@ -167,6 +167,15 @@ class RandomSource:
         return items[self.below(len(items))]
 
 
+def _feed(h, parts: Iterable[int]):
+    """``h`` after it hashes each part's 8 big-endian bytes, each part
+    checked as a seed (see :func:`check_seed`): the one encoding of
+    :func:`derive_seed` and :func:`_derive_seeds`."""
+    for part in parts:
+        h.update(struct.pack(">Q", check_seed(part)))
+    return h
+
+
 def derive_seed(*parts: int) -> int:
     """Mix integer coordinates into an independent 64-bit seed.
 
@@ -176,10 +185,15 @@ def derive_seed(*parts: int) -> int:
     across processes.  Each part must be a seed itself (see
     :func:`check_seed`), so no two part tuples share their bytes.
     """
-    h = blake2b(digest_size=8)
-    for part in parts:
-        h.update(struct.pack(">Q", check_seed(part)))
-    return int.from_bytes(h.digest(), "big")
+    return int.from_bytes(_feed(blake2b(digest_size=8), parts).digest(), "big")
+
+
+def _derive_seeds(seed: int, parts: Iterable[int]) -> list[int]:
+    """``[derive_seed(seed, part) for part in parts]``, with ``seed``
+    hashed once: each part goes into a copy of that hash state."""
+    stem = _feed(blake2b(digest_size=8), (seed,))
+    return [int.from_bytes(_feed(stem.copy(), (part,)).digest(), "big")
+            for part in parts]
 
 
 @dataclass(frozen=True)

@@ -24,11 +24,11 @@ from .model import (
 from .mutation import (
     DEFAULT_EXCLUDED,
     RandomSource,
+    _derive_seeds,
     _draw_pool,
     applicable,
     apply_mutation,
     check_seed,
-    derive_seed,
     random_mutation,
 )
 from .sequitur import expand, induce, pai
@@ -121,8 +121,9 @@ def run_per_kind(t: Sequence[int], seed: int) -> dict[MutationKind, int]:
 
     Returns kind -> ED(mutated tune, t) in kind order; kinds that are
     inapplicable to this tune's grammar are simply absent.  Each kind
-    gets its own derived seed, ``derive_seed(seed, kind)``: the tune's
-    one RandomSource is reseeded with it before the kind draws, so
+    gets its own derived seed, ``derive_seed(seed, kind)``, with
+    ``seed`` hashed once per tune: the tune's one RandomSource is
+    reseeded with it before the kind draws, so
     measurements do not influence one another.  ``seed`` must be an
     int that fits in 64 unsigned bits.
     """
@@ -132,11 +133,10 @@ def run_per_kind(t: Sequence[int], seed: int) -> dict[MutationKind, int]:
         raise EmptyTuneError("cannot measure an empty tune")
     g = induce(original)
     alphabet = NoteAlphabet.from_tune(original)
+    kinds = [kind for kind in MutationKind if applicable(g, kind)]
     out: dict[MutationKind, int] = {}
-    for kind in MutationKind:
-        if not applicable(g, kind):
-            continue
-        rng.reseed(derive_seed(seed, int(kind)))
+    for kind, kind_seed in zip(kinds, _derive_seeds(seed, kinds)):
+        rng.reseed(kind_seed)
         outcome = apply_mutation(g, kind, alphabet, rng)
         out[kind] = levenshtein(original, expand(outcome.grammar))
     return out

@@ -253,6 +253,17 @@ def test_derive_seed_refuses_parts_that_are_not_seeds(parts, error):
     # another: -1 with 2**64 - 1, or 1.5 and True with 1.
     with pytest.raises(error, match="64 unsigned bits|must be an int"):
         derive_seed(*parts)
+    seed, *rest = parts  # the per-tune path checks its parts alike
+    with pytest.raises(error, match="64 unsigned bits|must be an int"):
+        mutation_module._derive_seeds(seed, [0, *rest])
+
+
+def test_derive_seeds_hashes_the_seed_once_for_the_same_seeds():
+    for seed in (0, 7, 2**63, 2**64 - 1):
+        parts = [*range(1, 20), 0, 2**64 - 1, 5]
+        assert mutation_module._derive_seeds(seed, parts) == \
+            [derive_seed(seed, part) for part in parts]
+    assert mutation_module._derive_seeds(3, []) == []
 
 
 def test_derive_seed_is_order_sensitive_and_in_range():

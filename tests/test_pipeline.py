@@ -265,7 +265,7 @@ def test_per_kind_analyses_each_grammar_once(monkeypatch):
                          ids=["abracadabra", "pitch16", "hornpipe",
                               "hornpipe_swapped"])
 def test_per_kind_seeds_each_kind_with_derive_seed(monkeypatch, tune, seed):
-    # run_per_kind reseeds one source with each kind's derived seed;
+    # run_per_kind hashes the tune's seed once and reseeds one source;
     # the reference builds a fresh source of derive_seed(seed, kind) for
     # each applicable kind.  Both give the same kinds in the same order,
     # and each applied kind is mutated, expanded and measured once.
