@@ -119,9 +119,9 @@ class RandomSource:
     and :meth:`choose` give ``randrange``, ``randint`` and ``choice``
     of ``random.Random(seed)``, on every platform.  :meth:`reseed`
     restarts the stream in place, exactly as a new source of that seed
-    would start.  A source is single-owner: never share one between
-    concurrent runs; derive per-run seeds with :func:`derive_seed`
-    instead.
+    would start.  A source pickles and copies with its stream's state.
+    A source is single-owner: never share one between concurrent runs;
+    derive per-run seeds with :func:`derive_seed` instead.
     """
 
     __slots__ = ("seed", "_mt", "_bits")
